@@ -17,8 +17,7 @@ from repro.crypto.speck import Speck64_128
 from repro.des import Simulator
 from repro.experiments.common import build_adversary, run_paper_case
 from repro.infotheory.estimators import ksg_mutual_information
-from repro.queueing.erlang import erlang_b
-from repro.runtime import kernels
+from repro.queueing.erlang import erlang_b, erlang_b_batch
 
 
 def test_des_event_throughput(benchmark):
@@ -126,5 +125,5 @@ def test_adversary_estimate_all_scalar(benchmark, rcad_observations, kind):
 def test_erlang_b_batch_vectorized(benchmark):
     loads = np.linspace(0.1, 50.0, 200)
 
-    total = benchmark(lambda: float(kernels.erlang_b_batch(loads, 10).sum()))
+    total = benchmark(lambda: float(erlang_b_batch(loads, 10).sum()))
     assert 0.0 < total < 200.0

@@ -1,7 +1,7 @@
 """Serial vs parallel sweep timing on a reduced Figure 2.
 
 Measures the same reduced Figure 2 regeneration (three loads, 150
-packets per source) through the serial executor and through a
+packets per source) through a serial sweep and through a
 four-worker process pool, asserts the tables are identical, and leaves
 both wall-clock numbers in ``results/BENCH_runtime.json`` via the
 conftest timing hook.

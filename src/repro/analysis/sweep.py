@@ -1,18 +1,16 @@
 """Parameter sweeps and seed replication.
 
-Both entry points route through the ambient
-:class:`~repro.runtime.executors.Executor`, so ``use_runtime(jobs=N)``
-parallelizes every experiment driver without per-driver changes.  The
-executor contract is an order-preserving map over independent items;
-simulations derive all randomness from their configuration's seed via
-named RNG streams, so results are identical under any worker count.
-
-When the active context carries a retry policy or a checkpoint
-journal, the sweep instead routes through
-:func:`repro.runtime.supervisor.supervised_map`, which adds per-item
-timeouts, bounded retries with quarantine, mid-sweep degradation to
-serial, and journal-backed resume -- still order-preserving, still
-bit-identical for every cell that succeeds.
+Both entry points run through the one sweep runner,
+:func:`repro.runtime.supervisor.supervised_map`, so
+``use_runtime(jobs=N)`` parallelizes every experiment without
+per-experiment changes.  The contract is an order-preserving map over
+independent items: simulations derive all randomness from their
+configuration's seed via named RNG streams, so results are identical
+under any worker count.  The active context's retry policy and
+checkpoint journal add per-item timeouts, bounded retries with
+quarantine and journal-backed resume; with the default policy the
+first failing cell aborts the sweep (raised as-is when serial, as a
+:class:`~repro.runtime.supervisor.WorkerError` under ``jobs > 1``).
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ def sweep(
     """Evaluate ``run_one`` at every swept parameter value, in order.
 
     Thin but load-bearing: every experiment driver funnels its sweep
-    through here, so the active runtime's executor (serial or process
-    pool) and result cache apply to all of them at once.
+    through here, so the active runtime's worker count and result
+    cache apply to all of them at once.
     """
     if not parameter_values:
         raise ValueError("sweep needs at least one parameter value")

@@ -489,7 +489,7 @@ def _validate_runtime_options(args: argparse.Namespace) -> None:
     """Reject nonsensical runtime options up front.
 
     A negative ``--jobs`` / ``--retries`` / ``--item-timeout`` used to
-    surface as a deep traceback from the executor or supervisor; fail
+    surface as a deep traceback from the sweep supervisor; fail
     fast with the same style of message ``_parse_sweep`` uses.
     """
     if args.jobs < 0:

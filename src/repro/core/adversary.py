@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.net.packet import PacketObservation
-from repro.queueing.erlang import erlang_b
-from repro.runtime import kernels
+from repro.queueing.erlang import erlang_b, erlang_b_batch
 
 __all__ = [
     "FlowKnowledge",
@@ -97,14 +96,18 @@ class Adversary(abc.ABC):
 
         Dispatches to the adversary's numpy batch kernel
         (:meth:`_estimate_batch`) when one exists; adversaries without
-        one fall back to the per-observation scalar loop.  Both paths
-        produce identical estimates -- :meth:`estimate_all_scalar` is
-        kept as the explicit oracle the equivalence tests compare
-        against.
+        one fall back to the per-observation scalar loop.  The kernels
+        perform the same IEEE-754 operations in the same per-element
+        order as :meth:`estimate`, so both paths produce identical
+        estimates -- :meth:`estimate_all_scalar` is kept as the
+        explicit oracle the equivalence tests compare against.
         """
         if not observations:
             return []
-        arrivals, hops, origins = kernels.observation_arrays(observations)
+        n = len(observations)
+        arrivals = np.fromiter((o.arrival_time for o in observations), np.float64, n)
+        hops = np.fromiter((o.hop_count for o in observations), np.float64, n)
+        origins = np.fromiter((o.origin for o in observations), np.int64, n)
         self._check_arrival_order(arrivals)
         batch = self._estimate_batch(arrivals, hops, origins)
         if batch is None:
@@ -166,9 +169,7 @@ class NaiveAdversary(Adversary):
         )
 
     def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.naive_estimates(
-            arrivals, hops, self.knowledge.transmission_delay
-        )
+        return arrivals - hops * self.knowledge.transmission_delay
 
 
 class BaselineAdversary(Adversary):
@@ -187,12 +188,10 @@ class BaselineAdversary(Adversary):
         return observation.arrival_time - observation.hop_count * per_hop
 
     def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.baseline_estimates(
-            arrivals,
-            hops,
-            self.knowledge.transmission_delay,
-            self.knowledge.mean_delay_per_hop,
+        per_hop = (
+            self.knowledge.transmission_delay + self.knowledge.mean_delay_per_hop
         )
+        return arrivals - hops * per_hop
 
 
 class AdaptiveAdversary(Adversary):
@@ -310,31 +309,78 @@ class AdaptiveAdversary(Adversary):
         return saturation_delay
 
     def _estimate_batch(self, arrivals, hops, origins):
-        capacity = self.knowledge.buffer_capacity
+        """Closed form of the scalar loop's running state.
+
+        After observation ``i`` of the batch the arrival count is
+        ``prior + i + 1`` and the rate window is ``[first, z_i]``, where
+        ``prior``/``first`` carry over from any scalar :meth:`estimate`
+        calls made before the batch, so mixing the two paths stays
+        exact.
+        """
+        knowledge = self.knowledge
+        capacity = knowledge.buffer_capacity
         assert capacity is not None  # enforced in __init__
-        estimates = kernels.adaptive_estimates(
-            arrivals,
-            hops,
-            transmission_delay=self.knowledge.transmission_delay,
-            mean_delay_per_hop=self.knowledge.mean_delay_per_hop,
-            buffer_capacity=capacity,
-            n_sources=self.knowledge.n_sources,
-            preemption_threshold=self.preemption_threshold,
-            warmup_observations=self.warmup_observations,
-            clamp_to_advertised=self.clamp_to_advertised,
-            prior_count=self._arrival_count,
-            prior_first_arrival=self._first_arrival,
-        )
-        # Leave the adversary in the exact state the scalar loop would:
-        # every batch observation has been recorded.
         if self._first_arrival is None:
             self._first_arrival = float(arrivals[0])
+        counts = self._arrival_count + 1 + np.arange(arrivals.size, dtype=np.int64)
+        windows = arrivals - self._first_arrival
+        has_rate = (counts >= 2) & (windows != 0.0)
+        safe_windows = np.where(has_rate, windows, 1.0)
+        rates = np.where(has_rate, (counts - 1) / safe_windows, np.nan)
+        # Same expression shapes as the scalar path: mu = 1/(1/mu), then
+        # rho = rate / mu -- *not* rate * mean_delay, which rounds
+        # differently.
+        mu = 1.0 / knowledge.mean_delay_per_hop
+        in_regime = (
+            (counts >= self.warmup_observations)
+            & has_rate
+            & (erlang_b_batch(rates / mu, capacity) > self.preemption_threshold)
+        )
+        saturation = knowledge.n_sources * capacity / np.where(has_rate, rates, 1.0)
+        if self.clamp_to_advertised:
+            saturation = np.minimum(saturation, knowledge.mean_delay_per_hop)
+        extra = np.where(in_regime, saturation, knowledge.mean_delay_per_hop)
+        # Leave the adversary in the exact state the scalar loop would:
+        # every batch observation has been recorded.
         self._last_arrival = float(arrivals[-1])
         self._arrival_count += int(arrivals.size)
-        return estimates
+        return arrivals - hops * (knowledge.transmission_delay + extra)
 
 
-class PathAwareAdaptiveAdversary(Adversary):
+class _PathTableAdversary(Adversary):
+    """An adversary that subtracts a precomputed extra delay per origin.
+
+    Subclasses fill ``_path_delay`` (origin node id -> total extra path
+    delay) in ``__init__``.
+    """
+
+    _path_delay: dict[int, float]
+
+    def _extra_delay(self, origin: int) -> float:
+        try:
+            return self._path_delay[origin]
+        except KeyError:
+            raise KeyError(
+                f"no path knowledge for origin {origin}; "
+                f"known origins: {sorted(self._path_delay)}"
+            )
+
+    def estimate(self, observation: PacketObservation) -> float:
+        extra = self._extra_delay(observation.origin)
+        transmission = observation.hop_count * self.knowledge.transmission_delay
+        return observation.arrival_time - transmission - extra
+
+    def _estimate_batch(self, arrivals, hops, origins):
+        unique_origins, inverse = np.unique(origins, return_inverse=True)
+        delays = np.array(
+            [self._extra_delay(int(origin)) for origin in unique_origins],
+            dtype=np.float64,
+        )
+        transmission = hops * self.knowledge.transmission_delay
+        return arrivals - transmission - delays[inverse]
+
+
+class PathAwareAdaptiveAdversary(_PathTableAdversary):
     """Extension: a deployment-aware adversary modelling every hop.
 
     The paper's adaptive adversary treats the whole path as uniformly
@@ -404,25 +450,8 @@ class PathAwareAdaptiveAdversary(Adversary):
                 total += self.knowledge.mean_delay_per_hop
         return total
 
-    def estimate(self, observation: PacketObservation) -> float:
-        try:
-            extra = self._path_delay[observation.origin]
-        except KeyError:
-            raise KeyError(
-                f"no path knowledge for origin {observation.origin}; "
-                f"known origins: {sorted(self._path_delay)}"
-            )
-        transmission = observation.hop_count * self.knowledge.transmission_delay
-        return observation.arrival_time - transmission - extra
 
-    def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.path_table_estimates(
-            arrivals, hops, origins, self._path_delay,
-            self.knowledge.transmission_delay,
-        )
-
-
-class ModelBasedAdversary(Adversary):
+class ModelBasedAdversary(_PathTableAdversary):
     """Extension: estimates via the closed-form RCAD node model.
 
     The strongest analytic adversary in the library: it predicts each
@@ -473,20 +502,3 @@ class ModelBasedAdversary(Adversary):
                     arrival_rate=rate, service_rate=mu, capacity=capacity
                 ).mean_delay
             self._path_delay[origin] = total
-
-    def estimate(self, observation: PacketObservation) -> float:
-        try:
-            extra = self._path_delay[observation.origin]
-        except KeyError:
-            raise KeyError(
-                f"no path knowledge for origin {observation.origin}; "
-                f"known origins: {sorted(self._path_delay)}"
-            )
-        transmission = observation.hop_count * self.knowledge.transmission_delay
-        return observation.arrival_time - transmission - extra
-
-    def _estimate_batch(self, arrivals, hops, origins):
-        return kernels.path_table_estimates(
-            arrivals, hops, origins, self._path_delay,
-            self.knowledge.transmission_delay,
-        )

@@ -7,8 +7,8 @@ SimPy (which is not available in this offline environment).  It provides
 * :class:`~repro.des.engine.Simulator` -- a binary-heap event scheduler
   with a floating-point clock, event cancellation, run-until semantics
   and stable FIFO tie-breaking for simultaneous events,
-* :class:`~repro.des.process.Process` -- generator-based cooperative
-  processes layered on top of the scheduler (``yield Timeout(5)``),
+* :class:`~repro.des.timers.BackoffTimer` -- a restartable one-shot
+  timer with exponential backoff (the link ARQ's retransmit timer),
 * :class:`~repro.des.rng.RngRegistry` -- named, independently seeded
   random streams so that components (traffic, per-node delays, ...)
   draw from decoupled generators and experiments are reproducible.
@@ -24,19 +24,13 @@ from repro.des.errors import (
     SchedulingInPastError,
     SimulationFinished,
 )
-from repro.des.process import Process, Timeout, WaitEvent, ProcessEvent
 from repro.des.rng import RngRegistry
-from repro.des.timers import BackoffTimer, PeriodicTimer
+from repro.des.timers import BackoffTimer
 
 __all__ = [
     "Simulator",
     "EventHandle",
     "BackoffTimer",
-    "PeriodicTimer",
-    "Process",
-    "Timeout",
-    "WaitEvent",
-    "ProcessEvent",
     "RngRegistry",
     "DesError",
     "EventCancelled",

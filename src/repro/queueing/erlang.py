@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 import operator
 
+import numpy as np
 from scipy.optimize import brentq
 
 __all__ = [
     "erlang_b",
+    "erlang_b_batch",
     "erlang_b_inverse_capacity",
     "offered_load_for_target_loss",
     "mu_for_target_loss",
@@ -91,6 +93,23 @@ def erlang_b(offered_load: float, servers: int) -> float:
     blocking = 1.0
     for k in range(1, servers + 1):
         blocking = offered_load * blocking / (k + offered_load * blocking)
+    return blocking
+
+
+def erlang_b_batch(offered_loads: np.ndarray, servers: int) -> np.ndarray:
+    """:func:`erlang_b` over a whole array of offered loads.
+
+    The same recursion iterated ``servers`` times over the array:
+    identical operations per element, so identical results.  NaN loads
+    propagate to NaN blocking (callers mask them).
+    """
+    servers = _check_servers(servers)
+    loads = np.asarray(offered_loads, dtype=np.float64)
+    if np.any(loads < 0):  # NaNs compare False, as intended
+        raise ValueError("offered loads must be non-negative")
+    blocking = np.ones_like(loads)
+    for k in range(1, servers + 1):
+        blocking = loads * blocking / (k + loads * blocking)
     return blocking
 
 

@@ -1,16 +1,22 @@
-"""Parallel experiment runtime: executors, result cache, batch kernels.
+"""Experiment runtime: one sweep runner, result cache, sweep fabric.
 
 Every figure and ablation funnels its simulations through two seams --
 the :func:`repro.analysis.sweep.sweep`/``replicate`` loop and the
 per-cell simulator invocation.  This package instruments both:
 
-* :mod:`repro.runtime.executors` -- pluggable map strategies: the
-  :class:`SerialExecutor` (the exact legacy loop) and the
-  :class:`ParallelExecutor` (a ``ProcessPoolExecutor`` fan-out with
-  chunking and ordered result reassembly).  Determinism is preserved
-  because every simulation seeds its own named RNG streams from its
+* :mod:`repro.runtime.supervisor` -- the one sweep runner.  Every
+  sweep runs through :class:`Supervisor`: in-process for ``jobs=1``,
+  otherwise over a ``fork`` process pool with one future per item and
+  results reassembled in item order.  Determinism is preserved because
+  every simulation seeds its own named RNG streams from its
   configuration (:class:`repro.des.rng.RngRegistry`), so results do not
-  depend on which worker ran which cell;
+  depend on which worker ran which cell.  The same runner adds per-item
+  wall-clock timeouts, crash detection with suspect probing, bounded
+  retries with exponential backoff, quarantine of repeatedly failing
+  cells (:class:`FailureReport`), and mid-sweep degradation to serial
+  when the pool cannot be rebuilt.  Under the default policy a
+  parallel sweep fails fast: the first failing cell raises
+  :class:`WorkerError` and the pool is killed;
 * :mod:`repro.runtime.cache` -- a content-addressed on-disk result
   cache keyed by a stable fingerprint of ``(SimulationConfig, seed,
   code-version salt)``: re-running a figure after touching only
@@ -19,15 +25,6 @@ per-cell simulator invocation.  This package instruments both:
   (:func:`use_runtime`) that ties the two together and the
   cache-aware :func:`run_simulation` entry point all experiment
   drivers call;
-* :mod:`repro.runtime.kernels` -- numpy batch kernels for the hot
-  scoring paths (adversary estimation, the Erlang-B recursion); the
-  scalar implementations remain in place as the oracle the equivalence
-  tests check against;
-* :mod:`repro.runtime.supervisor` -- the fault-tolerance layer: per-
-  item wall-clock timeouts, crash detection with suspect probing,
-  bounded retries with exponential backoff, quarantine of repeatedly
-  failing cells (:class:`FailureReport`), and mid-sweep degradation to
-  serial when the pool cannot be rebuilt;
 * :mod:`repro.runtime.journal` -- the append-only checkpoint journal
   (JSONL of completed cell results, checksummed line-by-line) that
   makes interrupted sweeps resumable via ``--resume``;
@@ -59,12 +56,6 @@ from repro.runtime.context import (
     run_simulation,
     use_runtime,
 )
-from repro.runtime.executors import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    WorkerError,
-)
 from repro.runtime.fingerprint import code_salt, stable_fingerprint
 from repro.runtime.journal import (
     CompactionStats,
@@ -78,6 +69,7 @@ from repro.runtime.supervisor import (
     FailureReport,
     RetryPolicy,
     Supervisor,
+    WorkerError,
     supervised_map,
 )
 
@@ -119,10 +111,6 @@ __all__ = [
     "current_runtime",
     "run_simulation",
     "use_runtime",
-    "Executor",
-    "ParallelExecutor",
-    "SerialExecutor",
-    "WorkerError",
     "code_salt",
     "stable_fingerprint",
     "CompactionStats",
@@ -134,6 +122,7 @@ __all__ = [
     "FailureReport",
     "RetryPolicy",
     "Supervisor",
+    "WorkerError",
     "supervised_map",
     "FabricConfig",
     "FabricError",

@@ -1,9 +1,9 @@
-"""The ambient runtime context: which executor and cache are active.
+"""The ambient runtime context: worker count, cache and sweep policy.
 
-Experiment drivers never name an executor or a cache; they call
+Experiment code never names a worker pool or a cache; it calls
 :func:`repro.analysis.sweep.sweep` and :func:`run_simulation`, which
 consult the innermost :func:`use_runtime` context.  The default context
-is the legacy behaviour exactly: serial execution, no cache.
+runs serially with no cache.
 
 ::
 
@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.executors import Executor, ParallelExecutor, SerialExecutor
 from repro.runtime.journal import JournalStats
 from repro.runtime.supervisor import FailureReport, RetryPolicy
 from repro.telemetry import TelemetryAggregate
@@ -69,9 +68,10 @@ class RuntimeStats:
 
 @dataclass
 class RuntimeContext:
-    """One executor/cache pairing, active within a ``use_runtime`` block."""
+    """One worker-count/cache pairing, active within a ``use_runtime`` block."""
 
-    executor: Executor = field(default_factory=SerialExecutor)
+    jobs: int = 1
+    """Worker processes a sweep fans out over (1 = in-process)."""
     cache: ResultCache | None = None
     stats: RuntimeStats = field(default_factory=RuntimeStats)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -102,28 +102,25 @@ def use_runtime(
     jobs: int = 1,
     cache: ResultCache | None = None,
     cache_dir: str | Path | None = None,
-    chunk_size: int | None = None,
     retry: RetryPolicy | None = None,
     journal_dir: str | Path | None = None,
     resume: bool = False,
     telemetry: bool = False,
 ) -> Iterator[RuntimeContext]:
-    """Activate an executor/cache pairing for the enclosed experiments.
+    """Activate a worker-count/cache pairing for the enclosed experiments.
 
     Parameters
     ----------
     jobs:
-        Worker processes; 1 keeps the exact serial loop.
+        Worker processes; 1 (or less) runs every sweep in-process.
     cache:
         A ready :class:`ResultCache`, or None.
     cache_dir:
         Convenience: build a :class:`ResultCache` rooted here (ignored
         when ``cache`` is given).
-    chunk_size:
-        Forwarded to :class:`ParallelExecutor`.
     retry:
         A :class:`~repro.runtime.supervisor.RetryPolicy`; the default
-        (None) keeps the unsupervised fail-fast behaviour.
+        (None) fails fast on the first failing cell.
     journal_dir:
         Checkpoint-journal root.  Sweeps append completed cells here
         so an interrupted run can be resumed; None disables journaling.
@@ -138,13 +135,8 @@ def use_runtime(
     """
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    executor: Executor
-    if jobs <= 1:
-        executor = SerialExecutor()
-    else:
-        executor = ParallelExecutor(jobs, chunk_size=chunk_size)
     context = RuntimeContext(
-        executor=executor,
+        jobs=jobs,
         cache=cache,
         retry=retry if retry is not None else RetryPolicy(),
         journal_dir=Path(journal_dir) if journal_dir is not None else None,

@@ -44,7 +44,7 @@ common case:
   back to in-process serial completion with a structured warning.
 
 Results merge in item order, so a distributed run is bit-identical to
-:class:`~repro.runtime.executors.SerialExecutor`
+a serial loop over the items
 (``tests/test_runtime_determinism.py`` proves it).  Lease churn,
 steals, reclaims and per-worker throughput publish through
 :mod:`repro.telemetry` when the ambient context collects it.
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.runtime import executors as _executors
+from repro.runtime import supervisor as _supervisor
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.journal import (
     decode_cell_entry,
@@ -788,7 +788,7 @@ class ResultsScanner:
 
 #: Armed by the coordinator immediately before forking local workers so
 #: the children inherit sweep closures that stdlib pickle cannot ship
-#: (the same idiom as ``executors._ACTIVE``).
+#: (the same idiom as ``supervisor._ACTIVE``).
 _FABRIC_FN: Callable | None = None
 
 
@@ -1177,7 +1177,7 @@ def _forked_worker_main(
 ) -> None:
     """Entry point of a coordinator-forked worker process."""
     # Nested sweeps inside a cell must stay serial in here.
-    _executors._IN_WORKER = True
+    _supervisor._IN_WORKER = True
     worker = FabricWorker(
         fabric_dir,
         worker_id=worker_id,
@@ -1312,7 +1312,7 @@ def run_fabric(
     """Run one sweep through the distributed fabric.
 
     Returns ``(results, report)`` with ``results`` in item order --
-    bit-identical to ``SerialExecutor().map(fn, items)`` for every cell
+    bit-identical to ``[fn(item) for item in items]`` for every cell
     that succeeds (permanently failed cells hold ``None`` and are
     listed in ``report.failed``).
 

@@ -1,13 +1,17 @@
-"""Fault-tolerant sweep supervision: timeouts, retries, quarantine, resume.
+"""The one sweep runner: ordered fan-out, timeouts, retries, resume.
 
 :func:`supervised_map` is the seam between
-:func:`repro.analysis.sweep.sweep`/``replicate`` and the executors.  In
-the default context (no retry policy, no journal) it delegates straight
-to the active executor's chunked ``map`` -- zero overhead, the exact
-legacy path.  Once a :class:`RetryPolicy` or a checkpoint journal is
-active it switches to the :class:`Supervisor`, which runs the sweep
-item-by-item so that every cell can be individually timed out, retried
-with exponential backoff, journaled on completion, or quarantined:
+:func:`repro.analysis.sweep.sweep`/``replicate`` and execution: every
+sweep, serial or parallel, runs through :meth:`Supervisor.run`.  The
+:class:`Supervisor` drives the sweep item-by-item -- in-process when
+``jobs`` is 1, otherwise over a ``fork`` process pool with one future
+per item -- and reassembles results in item order, so ``--jobs N`` is
+bit-identical to serial.  The closure being swept travels to the
+workers through an inherited module global (``_ACTIVE``) rather than
+through pickle; only item indices go out and only results (plus
+worker-side cache/runtime/telemetry deltas) come back.  On top of that
+ordered map every cell can be individually timed out, retried with
+exponential backoff, journaled on completion, or quarantined:
 
 * **timeouts** -- each in-flight item carries a wall-clock deadline;
   an expired item's worker pool is killed (a hung worker cannot be
@@ -31,9 +35,15 @@ with exponential backoff, journaled on completion, or quarantined:
   them back and computes only the missing cells, and a SIGINT flushes
   the journal and prints a resume hint before propagating.
 
-Serial execution enforces retries/quarantine but not timeouts (there
-is no second process to preempt a hung call from); this is documented
-behaviour, not an accident.
+With the default :class:`RetryPolicy` (one attempt, raise on failure)
+a serial sweep re-raises the failing cell's exception unchanged, while
+a parallel sweep raises :class:`WorkerError` for the first failing
+cell it sees and kills the pool without waiting for the rest.  Serial
+execution enforces retries/quarantine but not timeouts (there is no
+second process to preempt a hung call from); this is documented
+behaviour, not an accident.  Sweeps run serially inside a forked
+worker (a nested pool would be a fork bomb) and where ``fork`` is
+unavailable.
 """
 
 from __future__ import annotations
@@ -41,14 +51,13 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import time
+import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-from repro.runtime import executors as _executors
-from repro.runtime.executors import WorkerError
 from repro.runtime.journal import SweepJournal, sweep_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,6 +68,7 @@ __all__ = [
     "FailureRecord",
     "FailureReport",
     "Supervisor",
+    "WorkerError",
     "supervised_map",
 ]
 
@@ -66,13 +76,110 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def _serial_repro_command() -> str:
+    """A ready-to-paste ``repro ... --jobs 1`` serial reproduction.
+
+    Best effort: rebuilt from ``sys.argv`` with any ``--jobs`` option
+    replaced, falling back to a template outside a CLI invocation.
+    """
+    arguments = []
+    skip_next = False
+    for argument in sys.argv[1:]:
+        if skip_next:
+            skip_next = False
+            continue
+        if argument == "--jobs":
+            skip_next = True
+            continue
+        if argument.startswith("--jobs="):
+            continue
+        arguments.append(argument)
+    if not arguments:
+        return "repro <command> --jobs 1"
+    return "repro " + " ".join(arguments) + " --jobs 1"
+
+
+class WorkerError(RuntimeError):
+    """A sweep item failed inside a pool worker.
+
+    Carries the item's index and value plus the worker-side traceback
+    text, so the failing cell can be reproduced serially.  Instances
+    pickle cleanly (``__reduce__``), so the index/item survive a trip
+    through a result queue or a crash report.
+    """
+
+    def __init__(
+        self, index: int, item: object, message: str, remote_traceback: str
+    ) -> None:
+        super().__init__(
+            f"sweep item {index} ({item!r}) failed in worker: {message}\n"
+            f"reproduce serially with: {_serial_repro_command()} "
+            f"(fails at sweep item {index})\n"
+            f"--- worker traceback ---\n{remote_traceback}"
+        )
+        self.index = index
+        self.item = item
+        self.message = message
+        self.remote_traceback = remote_traceback
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.index, self.item, self.message, self.remote_traceback),
+        )
+
+
+# ----------------------------------------------------------------------
+# Fork-side plumbing.  ``_ACTIVE`` holds the work unit between the
+# parent arming it and the pool workers (forked afterwards) reading it;
+# ``_IN_WORKER`` marks forked children so nested sweeps stay serial.
+_ACTIVE: dict | None = None
+_IN_WORKER = False
+
+
+def _worker_invoke(index: int):
+    """Run one item in a forked worker; never raises.
+
+    Returns ``(payload, cache_delta, stats_delta, telemetry_runs)``
+    where payload is ``("ok", value)`` or ``("err", message,
+    traceback_text)``.  The deltas let the parent fold worker-side
+    cache hits/misses and simulator invocations into its own counters;
+    ``telemetry_runs`` is the item's captured telemetry publications
+    (in publication order) for the parent to replay in *item* order --
+    that replay discipline is what keeps aggregated telemetry
+    bit-identical between ``--jobs N`` and serial execution.
+    """
+    global _IN_WORKER
+    _IN_WORKER = True
+    from repro.runtime.context import current_runtime
+
+    context = current_runtime()
+    cache_before = context.cache.stats.snapshot() if context.cache else None
+    stats_before = context.stats.snapshot()
+    assert _ACTIVE is not None  # armed by the parent before the fork
+    telemetry_runs = None
+    try:
+        if context.telemetry is not None:
+            with context.telemetry.capture() as sink:
+                payload = ("ok", _ACTIVE["fn"](_ACTIVE["items"][index]))
+            telemetry_runs = sink.runs
+        else:
+            payload = ("ok", _ACTIVE["fn"](_ACTIVE["items"][index]))
+    except Exception as exc:
+        payload = ("err", repr(exc), traceback.format_exc())
+    cache_delta = (
+        context.cache.stats.delta_since(cache_before) if context.cache else None
+    )
+    return payload, cache_delta, context.stats.delta_since(stats_before), telemetry_runs
+
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a supervised sweep treats a failing item.
+    """How a sweep treats a failing item.
 
-    The default instance (1 attempt, no timeout, raise on failure) is
-    the *unsupervised* contract: combined with no journal it routes the
-    sweep through the plain executor path untouched.
+    The default instance (1 attempt, no timeout, raise on failure)
+    fails fast: the first failing cell aborts the sweep.
     """
 
     max_attempts: int = 1
@@ -98,10 +205,6 @@ class RetryPolicy:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.on_failure not in ("raise", "quarantine"):
             raise ValueError(f"on_failure must be 'raise' or 'quarantine', got {self.on_failure!r}")
-
-    @property
-    def is_default(self) -> bool:
-        return self == RetryPolicy()
 
     def delay_before(self, attempts_made: int) -> float:
         """Backoff before the next try after ``attempts_made`` failures."""
@@ -228,8 +331,8 @@ class Supervisor:
         return (
             self.jobs > 1
             and n_pending > 1
-            and not _executors._IN_WORKER
-            and _executors._ACTIVE is None
+            and not _IN_WORKER
+            and _ACTIVE is None
             and "fork" in multiprocessing.get_all_start_methods()
         )
 
@@ -345,7 +448,8 @@ class Supervisor:
         results: dict,
         report: FailureReport,
     ) -> None:
-        _executors._ACTIVE = {"fn": fn, "items": items}
+        global _ACTIVE
+        _ACTIVE = {"fn": fn, "items": items}
         pool: ProcessPoolExecutor | None = None
         inflight: dict = {}
         try:
@@ -440,7 +544,7 @@ class Supervisor:
                     inflight.clear()
                     pool = self._rebuild_pool(pool)
         finally:
-            _executors._ACTIVE = None
+            _ACTIVE = None
             if pool is not None:
                 _kill_pool(pool)
 
@@ -448,7 +552,7 @@ class Supervisor:
         deadline = (
             now + self.policy.timeout if self.policy.timeout is not None else None
         )
-        future = pool.submit(_executors._worker_invoke, index)
+        future = pool.submit(_worker_invoke, index)
         inflight[future] = (index, deadline)
 
     def _new_pool(self) -> ProcessPoolExecutor | None:
@@ -488,18 +592,13 @@ def supervised_map(
     context: "RuntimeContext",
     label: str | None = None,
 ) -> list[R | None]:
-    """Route one sweep through supervision if the context asks for it.
+    """Run one sweep through the :class:`Supervisor` under ``context``.
 
-    The default context (default :class:`RetryPolicy`, no journal
-    directory) falls straight through to ``context.executor.map`` --
-    the chunked, zero-overhead legacy path.  ``label`` disambiguates
-    the sweep's journal identity; it defaults to ``fn``'s qualified
-    name (wrappers with a shared qualname must pass their own).
+    ``label`` disambiguates the sweep's journal identity; it defaults
+    to ``fn``'s qualified name (wrappers with a shared qualname must
+    pass their own).
     """
     items = list(items)
-    if context.retry.is_default and context.journal_dir is None:
-        return context.executor.map(fn, items)
-
     if label is None:
         label = _sweep_label(fn)
     journal: SweepJournal | None = None
@@ -521,7 +620,7 @@ def supervised_map(
 
     supervisor = Supervisor(
         policy=context.retry,
-        jobs=context.executor.jobs,
+        jobs=context.jobs,
         journal=journal,
         label=label,
     )

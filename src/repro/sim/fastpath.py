@@ -394,8 +394,10 @@ def _run_delayed(
     _check_horizon(sim, end)
 
     # --- drop records in global event order ---------------------------
+    # Same-instant drops fire in event-sequence order, which for
+    # creation-instant drops is the packets' creation (routing) order.
     if drops:
-        drops.sort(key=lambda d: d[0])
+        drops.sort(key=lambda d: (d[0], routing_seq[d[1]]))
         for when, p, node in drops:
             sim._result.dropped.append(
                 DroppedPacket(

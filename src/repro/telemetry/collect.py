@@ -13,7 +13,7 @@ Two layers:
   the ordered list of run telemetries published by
   :func:`repro.runtime.context.run_simulation`.  All registry merging
   is deferred to :meth:`TelemetryAggregate.merged_registry`, which folds
-  runs strictly in publication order.  The executors guarantee that
+  runs strictly in publication order.  The sweep supervisor guarantees that
   publication order equals *item order* under any worker count (workers
   capture, the parent replays captures in index order), which is what
   makes the aggregate bit-identical between ``--jobs N`` and serial.

@@ -19,7 +19,6 @@ EXAMPLES = {
     "paper_topology_tour.py": (["4"], "Section 4 quantities"),
     "adversary_escalation.py": (["2"], "model-based"),
     "mix_showdown.py": (["20"], "stop-and-go"),
-    "des_engine_tour.py": (["0.5"], "Little ratio"),
     "asset_tracking_demo.py": (["0.05"], "localization error"),
     "spatiotemporal_defense.py": (["6"], "safety period"),
     "packet_forensics.py": ([], "preempted"),

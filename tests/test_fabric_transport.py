@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.runtime.chaosnet import ChaosProxy, NetFaultPlan, PartitionWindow
-from repro.runtime.executors import SerialExecutor
 from repro.runtime.fabric import (
     FabricConfig,
     FabricError,
@@ -71,7 +70,7 @@ class TestNetworkedWorker:
             assert worker.transport_degraded is False
         finally:
             endpoint.stop()
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(_cube, items)
+        assert _merge(tmp_path, len(items)) == [_cube(x) for x in items]
 
     def test_worker_heartbeats_count_as_external_liveness(self, tmp_path):
         _grid(tmp_path, range(3))
@@ -133,7 +132,7 @@ class TestNetworkedWorker:
         finally:
             proxy.stop()
             endpoint.stop()
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(_cube, items)
+        assert _merge(tmp_path, len(items)) == [_cube(x) for x in items]
 
     def test_duplicate_uploads_replayed_twice_merge_identically(self, tmp_path):
         """Satellite: every journal upload delivered twice end-to-end
@@ -163,7 +162,7 @@ class TestNetworkedWorker:
             assert endpoint.stats.uploads_deduped == len(items)
         finally:
             endpoint.stop()
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(_cube, items)
+        assert _merge(tmp_path, len(items)) == [_cube(x) for x in items]
         journal = (tmp_path / "results" / "net0.jsonl").read_text()
         assert journal.count('"kind": "cell"') == len(items)
 
@@ -197,9 +196,7 @@ class TestDegradationLadder:
             killer.cancel()
             endpoint.stop()
         assert worker.transport_degraded is True
-        assert _merge(tmp_path, len(items)) == SerialExecutor().map(
-            _slow_cube, items
-        )
+        assert _merge(tmp_path, len(items)) == [_slow_cube(x) for x in items]
 
     def test_endpoint_loss_without_directory_abandons_clearly(self, tmp_path):
         items = list(range(6))
@@ -305,7 +302,7 @@ class TestCoordinatorEndpoint:
             )
         finally:
             thread.join(timeout=30.0)
-        assert results == SerialExecutor().map(_cube, items)
+        assert results == [_cube(x) for x in items]
         assert computed.get("n") == len(items)
         assert report.endpoint == f"127.0.0.1:{port}"
         assert report.transport["uploads"] == len(items)
@@ -339,7 +336,7 @@ class TestCoordinatorEndpoint:
             workers=0, lease_ttl=1.0, poll_interval=0.05, fabric_dir=fabric_dir
         )
         results, _ = run_fabric(_cube, items, config=config, label="pre")
-        assert results == SerialExecutor().map(_cube, items)
+        assert results == [_cube(x) for x in items]
         # Same sweep again, now with a listen endpoint on a port that
         # is deliberately already taken: no bind may be attempted.
         blocker = socket.socket()

@@ -1,47 +1,41 @@
-"""Executor contract: ordering, chunking, failure propagation."""
+"""Sweep execution contract: ordering, fan-out, failure propagation.
+
+Every sweep runs through one runner (:mod:`repro.runtime.supervisor`);
+these tests pin what ``sweep()`` guarantees under ``use_runtime(jobs=N)``.
+"""
 
 import pickle
+import time
 
 import pytest
 
 from repro.analysis.sweep import ReplicationError, replicate, sweep
-from repro.runtime import (
-    ParallelExecutor,
-    SerialExecutor,
-    WorkerError,
-    executors as executors_module,
-    use_runtime,
-)
+from repro.runtime import RetryPolicy, Supervisor, WorkerError, use_runtime
+from repro.runtime import supervisor as supervisor_module
 
 
-class TestSerialExecutor:
+def _pool_forbidden(*args, **kwargs):
+    raise AssertionError("ProcessPoolExecutor must not be built")
+
+
+class TestSerialSweep:
     def test_preserves_order(self):
-        assert SerialExecutor().map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+        assert sweep([3, 1, 2], lambda x: x * x) == [9, 1, 4]
 
     def test_empty(self):
-        assert SerialExecutor().map(lambda x: x, []) == []
+        assert Supervisor(RetryPolicy()).run(lambda x: x, []) == ([], None)
 
 
-class TestParallelExecutor:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=2, chunk_size=0)
-
-    def test_chunksize_heuristic(self):
-        executor = ParallelExecutor(jobs=4)
-        assert executor._chunksize(100) == 7  # ceil(100 / 16)
-        assert executor._chunksize(3) == 1
-        assert ParallelExecutor(jobs=4, chunk_size=5)._chunksize(100) == 5
-
+class TestParallelSweep:
     def test_preserves_order_across_workers(self):
-        result = ParallelExecutor(jobs=4).map(lambda x: x * 10, list(range(23)))
+        with use_runtime(jobs=4):
+            result = sweep(list(range(23)), lambda x: x * 10)
         assert result == [x * 10 for x in range(23)]
 
     def test_closure_state_ships_to_workers(self):
         offset = 1000
-        result = ParallelExecutor(jobs=2).map(lambda x: x + offset, [1, 2, 3])
+        with use_runtime(jobs=2):
+            result = sweep([1, 2, 3], lambda x: x + offset)
         assert result == [1001, 1002, 1003]
 
     def test_worker_exception_carries_item_and_traceback(self):
@@ -50,33 +44,50 @@ class TestParallelExecutor:
                 raise ValueError("boom on two")
             return x
 
-        with pytest.raises(WorkerError) as excinfo:
-            ParallelExecutor(jobs=2).map(explode, [0, 1, 2, 3])
+        with use_runtime(jobs=2):
+            with pytest.raises(WorkerError) as excinfo:
+                sweep([0, 1, 2, 3], explode)
         assert excinfo.value.index == 2
         assert excinfo.value.item == 2
         assert "boom on two" in str(excinfo.value)
         assert "ValueError" in excinfo.value.remote_traceback
 
-    def test_single_item_runs_serially(self):
-        # len(items) <= 1 short-circuits to the serial path: exceptions
-        # surface raw, not wrapped.
+    def test_first_failure_aborts_without_waiting(self):
+        # Fail fast: the failing cell raises at once and the pool is
+        # killed, so the hung co-flight cell never holds the sweep up.
+        def cell(x):
+            if x == 0:
+                raise ValueError("first")
+            time.sleep(60)
+
+        started = time.monotonic()
+        with use_runtime(jobs=2):
+            with pytest.raises(WorkerError) as excinfo:
+                sweep([0, 1], cell)
+        assert excinfo.value.index == 0
+        assert time.monotonic() - started < 30
+
+    def test_single_item_runs_serially(self, monkeypatch):
+        # One item never builds a pool: exceptions surface raw, not
+        # wrapped.
+        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", _pool_forbidden)
+
         def explode(x):
             raise ValueError("raw")
 
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=4).map(explode, [1])
+        with use_runtime(jobs=4):
+            with pytest.raises(ValueError):
+                sweep([1], explode)
 
     def test_nested_map_degrades_to_serial(self):
-        outer = ParallelExecutor(jobs=2)
-
         def run_inner(x):
-            # In a forked worker _IN_WORKER is set, so this inner pool
+            # In a forked worker _IN_WORKER is set, so this inner sweep
             # must not fork again.
-            inner = ParallelExecutor(jobs=2).map(lambda y: y + x, [10, 20])
-            return sum(inner)
+            return sum(sweep([10, 20], lambda y: y + x))
 
-        assert outer.map(run_inner, [1, 2]) == [32, 34]
-        assert executors_module._ACTIVE is None  # always disarmed after
+        with use_runtime(jobs=2):
+            assert sweep([1, 2], run_inner) == [32, 34]
+        assert supervisor_module._ACTIVE is None  # always disarmed after
 
 
 class TestWorkerErrorContract:
@@ -91,15 +102,15 @@ class TestWorkerErrorContract:
             "sys.argv", ["repro", "fig2", "--jobs", "8", "--packets", "50"]
         )
         assert (
-            executors_module._serial_repro_command()
+            supervisor_module._serial_repro_command()
             == "repro fig2 --packets 50 --jobs 1"
         )
         monkeypatch.setattr("sys.argv", ["repro", "chaos", "--jobs=4"])
-        assert executors_module._serial_repro_command() == "repro chaos --jobs 1"
+        assert supervisor_module._serial_repro_command() == "repro chaos --jobs 1"
 
     def test_repro_command_without_cli_context(self, monkeypatch):
         monkeypatch.setattr("sys.argv", ["pytest"])
-        assert executors_module._serial_repro_command() == "repro <command> --jobs 1"
+        assert supervisor_module._serial_repro_command() == "repro <command> --jobs 1"
 
     def test_index_and_item_round_trip_through_pickle(self):
         original = WorkerError(7, {"case": "rcad", "load": 2.0}, "boom", "trace")
@@ -114,35 +125,23 @@ class TestWorkerErrorContract:
 
 class TestForkUnavailableDegradation:
     def test_map_runs_serially_without_fork(self, monkeypatch):
-        # Platform without fork (e.g. Windows/macOS-spawn): the parallel
-        # executor must quietly take the serial path -- same results, no
+        # Platform without fork (e.g. Windows/macOS-spawn): a parallel
+        # sweep must quietly take the serial path -- same results, no
         # pool construction at all.
         monkeypatch.setattr(
             "multiprocessing.get_all_start_methods", lambda: ["spawn"]
         )
-
-        def explode_if_pooled(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor must not be built")
-
-        monkeypatch.setattr(
-            executors_module, "ProcessPoolExecutor", explode_if_pooled
-        )
-        result = ParallelExecutor(jobs=4).map(lambda x: x * 3, [1, 2, 3])
-        assert result == [3, 6, 9]
+        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", _pool_forbidden)
+        with use_runtime(jobs=4):
+            assert sweep([1, 2, 3], lambda x: x * 3) == [3, 6, 9]
 
     def test_map_runs_serially_inside_worker(self, monkeypatch):
         # The _IN_WORKER guard: a sweep dispatched from within a forked
         # worker must not open a nested pool (fork bomb).
-        monkeypatch.setattr(executors_module, "_IN_WORKER", True)
-
-        def explode_if_pooled(*args, **kwargs):
-            raise AssertionError("nested pool must not be built")
-
-        monkeypatch.setattr(
-            executors_module, "ProcessPoolExecutor", explode_if_pooled
-        )
-        result = ParallelExecutor(jobs=4).map(lambda x: x + 1, [1, 2, 3])
-        assert result == [2, 3, 4]
+        monkeypatch.setattr(supervisor_module, "_IN_WORKER", True)
+        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", _pool_forbidden)
+        with use_runtime(jobs=4):
+            assert sweep([1, 2, 3], lambda x: x + 1) == [2, 3, 4]
 
     def test_exceptions_surface_raw_on_serial_fallback(self, monkeypatch):
         monkeypatch.setattr(
@@ -152,8 +151,9 @@ class TestForkUnavailableDegradation:
         def explode(x):
             raise ValueError("raw, not WorkerError")
 
-        with pytest.raises(ValueError, match="raw"):
-            ParallelExecutor(jobs=4).map(explode, [1, 2])
+        with use_runtime(jobs=4):
+            with pytest.raises(ValueError, match="raw"):
+                sweep([1, 2], explode)
 
 
 class TestSweepIntegration:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime.executors import SerialExecutor
 from repro.runtime.fabric import (
     FabricConfig,
     FabricError,
@@ -364,7 +363,7 @@ class TestResultsScanner:
 class TestRunFabric:
     def test_matches_serial_executor(self, tmp_path):
         items = list(range(12))
-        serial = SerialExecutor().map(_square, items)
+        serial = [_square(x) for x in items]
         results, report = run_fabric(
             _square, items, config=_fast_config(tmp_path / "fab"), label="sq"
         )

@@ -10,23 +10,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from repro.core.adversary import FlowKnowledge, ModelBasedAdversary
 from repro.experiments.common import build_adversary, run_paper_case
 from repro.experiments.fig3 import paper_path_aware_adversary
-from repro.infotheory import batch
-from repro.infotheory.entropy import (
-    erlang_entropy,
-    exponential_entropy,
-    gaussian_entropy,
-    gaussian_mutual_information,
-    uniform_entropy,
-)
 from repro.infotheory.estimators import (
     _marginal_neighbor_counts,
     _marginal_neighbor_counts_scalar,
 )
-from repro.infotheory.mmse import mmse_lower_bound_from_mi
-from repro.queueing.erlang import erlang_b
-from repro.runtime import kernels
+from repro.queueing.erlang import erlang_b, erlang_b_batch
 
 TOL = 1e-9
 
@@ -51,6 +42,21 @@ class TestAdversaryKernels:
         s = paper_path_aware_adversary(2.0).estimate_all_scalar(rcad_observations)
         assert max(abs(a - b) for a, b in zip(v, s)) <= TOL
 
+    def test_model_based_matches_scalar(self, rcad_observations):
+        knowledge = FlowKnowledge(mean_delay_per_hop=30.0, buffer_capacity=10)
+        origins = sorted({o.origin for o in rcad_observations})
+        rates = {origin: [0.05 * (i + 1), 0.3] for i, origin in enumerate(origins)}
+        adversary = ModelBasedAdversary(knowledge, rates)
+        v = adversary.estimate_all(rcad_observations)
+        s = adversary.estimate_all_scalar(rcad_observations)
+        assert max(abs(a - b) for a, b in zip(v, s)) <= TOL
+
+        del rates[origins[0]]
+        partial = ModelBasedAdversary(knowledge, rates)
+        for estimate in (partial.estimate_all, partial.estimate_all_scalar):
+            with pytest.raises(KeyError, match="no path knowledge"):
+                estimate(rcad_observations)
+
     def test_adaptive_batch_after_scalar_prefix(self, rcad_observations):
         # Mixing the scalar and batch paths must agree with pure scalar:
         # the batch carries the adaptive adversary's prior state.
@@ -74,74 +80,17 @@ class TestAdversaryKernels:
 class TestErlangBatch:
     def test_matches_scalar_recursion(self):
         loads = np.linspace(0.0, 80.0, 333)
-        batch_values = kernels.erlang_b_batch(loads, 10)
+        batch_values = erlang_b_batch(loads, 10)
         scalar_values = [erlang_b(float(rho), 10) for rho in loads]
         assert max(abs(a - b) for a, b in zip(batch_values, scalar_values)) <= TOL
 
     def test_nan_propagates(self):
-        out = kernels.erlang_b_batch(np.array([1.0, np.nan]), 5)
+        out = erlang_b_batch(np.array([1.0, np.nan]), 5)
         assert not np.isnan(out[0]) and np.isnan(out[1])
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
-            kernels.erlang_b_batch(np.array([1.0, -0.5]), 5)
-
-
-class TestEntropyBatch:
-    def test_exponential(self):
-        rates = np.array([0.01, 0.5, 1.0, 30.0])
-        got = batch.exponential_entropy_batch(rates)
-        want = [exponential_entropy(float(r)) for r in rates]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_uniform(self):
-        widths = np.array([0.2, 1.0, 60.0])
-        got = batch.uniform_entropy_batch(widths)
-        want = [uniform_entropy(float(w)) for w in widths]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_gaussian(self):
-        variances = np.array([0.1, 1.0, 900.0])
-        got = batch.gaussian_entropy_batch(variances)
-        want = [gaussian_entropy(float(v)) for v in variances]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_erlang(self):
-        shapes = np.array([1, 2, 5, 40])
-        rates = np.array([0.5, 1.0, 2.0, 30.0])
-        got = batch.erlang_entropy_batch(shapes, rates)
-        want = [
-            erlang_entropy(int(k), float(r)) for k, r in zip(shapes, rates)
-        ]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_gaussian_mi(self):
-        signal = np.array([0.0, 1.0, 100.0])
-        noise = np.array([1.0, 2.0, 3.0])
-        got = batch.gaussian_mutual_information_batch(signal, noise)
-        want = [
-            gaussian_mutual_information(float(s), float(n))
-            for s, n in zip(signal, noise)
-        ]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_mmse_bound(self):
-        h_x = np.array([0.0, 2.0, 5.0])
-        mi = np.array([0.0, 1.0, 4.5])
-        got = batch.mmse_lower_bound_from_mi_batch(h_x, mi)
-        want = [
-            mmse_lower_bound_from_mi(float(h), float(m))
-            for h, m in zip(h_x, mi)
-        ]
-        assert max(abs(a - b) for a, b in zip(got, want)) <= TOL
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            batch.exponential_entropy_batch(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            batch.erlang_entropy_batch(np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            batch.mmse_lower_bound_from_mi_batch(np.array([1.0]), np.array([-0.1]))
+            erlang_b_batch(np.array([1.0, -0.5]), 5)
 
 
 class TestKsgNeighborCounts:

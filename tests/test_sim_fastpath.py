@@ -15,8 +15,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.scenarios import (
+    CapacitySpec,
+    DefenseSpec,
+    ScenarioSpec,
+    SourceSpec,
+    TopologySpec,
+    TrafficSpec,
+)
 from repro.sim.fastpath import fastpath_eligible, fastpath_enabled
-from repro.sim.observables import observable_digest, reference_configs
+from repro.sim.observables import observable_digest, observable_view, reference_configs
 from repro.sim.simulator import SensorNetworkSimulator
 
 CONFIGS = reference_configs()
@@ -130,3 +138,37 @@ class TestParallelJobsDeterminism:
         with use_runtime(jobs=2):
             parallel = sweep(names, _digest)
         assert serial == parallel
+
+
+class TestSameInstantDropOrder:
+    """Drops at one instant keep the event engine's sequence order.
+
+    Saturated drop-tail sources drop packets at their creation instant;
+    several sources share instants on a periodic grid, and the event
+    engine logs those drops in packet creation order.
+    """
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
+    def test_drop_log_matches_event_engine(self, tau, capacity, monkeypatch):
+        spec = ScenarioSpec(
+            name="drop-order",
+            topology=TopologySpec(family="grid", width=9, height=7),
+            sources=SourceSpec(count=4, placement="spread"),
+            traffic=(
+                TrafficSpec(model="periodic", interarrival=2.0),
+                TrafficSpec(model="periodic", interarrival=5.0),
+            ),
+            capacity=CapacitySpec(base=capacity),
+            defenses=(DefenseSpec(name="drop-tail"),),
+            seeds=(27,),
+            transmission_delay=tau,
+        )
+        (compiled,) = spec.compile()
+        assert fastpath_eligible(compiled.config)
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        legacy = observable_view(SensorNetworkSimulator(compiled.config).run())
+        monkeypatch.delenv("REPRO_FASTPATH")
+        fast = observable_view(SensorNetworkSimulator(compiled.config).run())
+        assert legacy["dropped"]
+        assert fast == legacy
