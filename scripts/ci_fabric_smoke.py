@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """CI smoke test for the distributed sweep fabric.
 
-Starts a ``repro sweep-fabric`` coordinator (2 forked workers) on a
-small Figure 2 grid, SIGKILLs one worker mid-run, and asserts:
+Runs ``repro fig2 --fabric-dir ... --jobs 2`` -- the Figure 2 sweep on
+the fabric, with 2 forked lease workers -- on a small grid, SIGKILLs one
+worker mid-run, and asserts:
 
 * the run still completes with exit code 0 and zero failed cells (the
   killed worker's lease lapses and its cell is stolen and rerun);
@@ -70,8 +71,8 @@ def main() -> int:
 
     coordinator = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "sweep-fabric", *SWEEP,
-            "--workers", "2", "--lease-ttl", "3", "--heartbeat-interval", "0.5",
+            sys.executable, "-m", "repro", "fig2", *SWEEP,
+            "--jobs", "2", "--lease-ttl", "3",
             "--fabric-dir", str(fabric_dir), "--cache-dir", str(fabric_cache),
             "--json", str(fabric_json),
         ],

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """CI smoke test for the fabric's TCP transport + chaos proxy.
 
-Runs a ``repro sweep-fabric`` coordinator serving the grid over TCP
-(``--listen``, zero forked workers), then joins two networked workers:
+Runs ``repro fig2 --listen ... --jobs 1`` -- a fabric coordinator
+serving the Figure 2 grid over TCP with zero forked workers -- then
+joins two networked workers:
 
 * one in-process worker whose connection is routed through the
   :class:`repro.runtime.chaosnet.ChaosProxy` with frame drops,
@@ -88,9 +89,9 @@ def main() -> int:
 
     coordinator = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "sweep-fabric", *SWEEP,
-            "--workers", "0", "--listen", f"127.0.0.1:{port}",
-            "--lease-ttl", str(LEASE_TTL), "--heartbeat-interval", "2",
+            sys.executable, "-m", "repro", "fig2", *SWEEP,
+            "--jobs", "1", "--listen", f"127.0.0.1:{port}",
+            "--lease-ttl", str(LEASE_TTL),
             "--fabric-dir", str(fabric_dir), "--cache-dir", str(fabric_cache),
             "--json", str(fabric_json),
         ],

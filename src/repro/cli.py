@@ -23,17 +23,10 @@ code.  Commands:
 * ``cache`` -- inspect and heal the on-disk result cache
   (``stats`` / ``verify`` / ``purge`` / ``prune --max-bytes N
   --compact-journals``);
-* ``sweep-fabric`` -- run the Figure 2 grid through the distributed
-  sweep fabric: a coordinator shards the cells into leased work units,
-  forks ``--workers`` local worker processes (external ``repro
-  worker`` processes may join), steals work from crashed workers, and
-  merges results bit-identical to a serial ``repro fig2`` run;
-  ``--listen HOST:PORT`` additionally serves the fabric over TCP for
-  workers without the shared directory mounted;
-* ``worker`` -- join a running (or upcoming) ``sweep-fabric``
-  coordinator from another shell or host, pointed at its fabric
-  directory and/or ``--connect HOST:PORT``; sharing a ``--cache-dir``
-  across workers deduplicates simulations between them;
+* ``worker`` -- join a running (or upcoming) fabric sweep from another
+  shell or host, pointed at its fabric directory and/or ``--connect
+  HOST:PORT``; sharing a ``--cache-dir`` across workers deduplicates
+  simulations between them;
 * ``serve`` -- run the streaming temporal-privacy service against a
   closed-loop load generator: sharded delay buffers, the tiered
   degradation ladder, Prometheus ``/metrics`` plus ``/healthz`` and
@@ -57,6 +50,17 @@ EXPERIMENTS.md "Fault-tolerant sweeps").  An interrupted sweep
 (SIGINT) flushes its checkpoint journal and prints the ``--resume``
 command that skips the already-completed cells.
 
+``--fabric-dir PATH`` or ``--listen HOST:PORT`` runs the command's
+sweep through the distributed sweep fabric instead: the coordinator
+shards the cells into leased work units, forks ``--jobs N`` lease
+workers (``--jobs 1`` forks none and waits one ``--lease-ttl`` for
+external ``repro worker`` processes before finishing in-process),
+steals work from crashed workers, and merges results bit-identical to
+a serial run; ``--listen`` also serves the fabric over TCP for workers
+without the shared directory mounted.  The fabric directory and its
+report are printed after the command's output.  Fabric runs reject
+``--telemetry`` (their workers send no telemetry back).
+
 ``--telemetry`` instruments every simulation the command runs (buffer
 occupancy series, latency histograms, engine counters) and writes a
 run manifest plus a JSONL series file under ``--telemetry-dir``
@@ -78,14 +82,15 @@ __all__ = ["main", "build_parser"]
 
 
 #: commands that run simulations and therefore take runtime options.
-_SIMULATION_COMMANDS = ("fig2", "fig3", "run", "chaos", "scenarios", "sweep-fabric")
+_SIMULATION_COMMANDS = ("fig2", "fig3", "run", "chaos", "scenarios")
 
 
 def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the sweep (default 1 = serial; "
-        "0 = one per CPU; results are bit-identical at any N)",
+        "0 = one per CPU; results are bit-identical at any N); with a "
+        "fabric, the lease workers to fork (1 = none)",
     )
     sub.add_argument(
         "--no-cache", action="store_true",
@@ -127,6 +132,23 @@ def _add_runtime_options(sub: argparse.ArgumentParser) -> None:
         "--telemetry-dir", type=str, default=None, metavar="PATH",
         help="where to write the manifest/series artifacts "
         "(default: <cache-dir>/telemetry)",
+    )
+    sub.add_argument(
+        "--fabric-dir", type=str, default=None, metavar="PATH",
+        help="run the sweep through the distributed fabric with this "
+        "shared state directory; external workers point 'repro worker' "
+        "here (default with --listen: <cache-dir>/fabric/<sweep-id>)",
+    )
+    sub.add_argument(
+        "--listen", type=str, default=None, metavar="HOST:PORT",
+        help="run the sweep through the fabric and serve it over TCP on "
+        "HOST:PORT (port 0 = ephemeral); remote workers join with "
+        "'repro worker --connect HOST:PORT'",
+    )
+    sub.add_argument(
+        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
+        help="fabric only: heartbeat silence after which a worker's "
+        "leases expire and its cells are stolen (default 30)",
     )
 
 
@@ -354,73 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
         "print the BENCH_service.json payload",
     )
 
-    fabric = commands.add_parser(
-        "sweep-fabric",
-        help="run the Figure 2 grid through the distributed sweep "
-        "fabric (lease-based coordinator + worker processes)",
-    )
-    fabric.add_argument(
-        "--packets", type=int, default=1000,
-        help="packets per source (paper: 1000)",
-    )
-    fabric.add_argument("--seed", type=int, default=0, help="root random seed")
-    fabric.add_argument(
-        "--interarrivals", type=str, default="2,4,6,8,10,12,14,16,18,20",
-        help="comma-separated 1/lambda sweep values",
-    )
-    fabric.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="local worker processes the coordinator forks (default 2; "
-        "0 = rely on externally joined 'repro worker' processes, with "
-        "in-process serial completion as the fallback)",
-    )
-    fabric.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="heartbeat silence after which a worker's leases expire "
-        "and its cells are stolen (default 30)",
-    )
-    fabric.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
-        help="worker heartbeat renewal period (default lease-ttl / 3; "
-        "must be below --lease-ttl)",
-    )
-    fabric.add_argument(
-        "--fabric-dir", type=str, default=None, metavar="PATH",
-        help="shared fabric state directory (default: "
-        "<cache-dir>/fabric/<sweep-id>); external workers point "
-        "'repro worker' here",
-    )
-    fabric.add_argument(
-        "--listen", type=str, default=None, metavar="HOST:PORT",
-        help="also serve the fabric over TCP on HOST:PORT (port 0 = "
-        "ephemeral); remote workers join with "
-        "'repro worker --connect HOST:PORT'",
-    )
-    fabric.add_argument(
-        "--chart", action="store_true",
-        help="also draw ASCII bar charts of the series",
-    )
-    fabric.add_argument(
-        "--csv", type=str, default=None, metavar="PATH",
-        help="also write the series as CSV to PATH "
-             "(writes PATH and PATH.latency.csv)",
-    )
-    fabric.add_argument(
-        "--json", type=str, default=None, metavar="PATH",
-        help="also write the series as JSON to PATH "
-             "(writes PATH and PATH.latency.json)",
-    )
-    _add_runtime_options(fabric)
-
     worker = commands.add_parser(
         "worker",
-        help="join a sweep-fabric run as an external worker process",
+        help="join a fabric sweep (any simulation command run with "
+        "--fabric-dir or --listen) as an external worker process",
     )
     worker.add_argument(
         "fabric_dir", nargs="?", default=None,
-        help="the coordinator's fabric directory (printed by, and "
-        "settable with, 'repro sweep-fabric --fabric-dir'); optional "
-        "when --connect is given",
+        help="the coordinator's fabric directory (printed as 'fabric "
+        "dir:' and settable with --fabric-dir); optional when "
+        "--connect is given",
     )
     worker.add_argument(
         "--connect", type=str, default=None, metavar="HOST:PORT",
@@ -490,7 +455,9 @@ def _validate_runtime_options(args: argparse.Namespace) -> None:
 
     A negative ``--jobs`` / ``--retries`` / ``--item-timeout`` used to
     surface as a deep traceback from the sweep supervisor; fail
-    fast with the same style of message ``_parse_sweep`` uses.
+    fast with the same style of message ``_parse_sweep`` uses.  Fabric
+    options are checked here too, before any process is forked or
+    socket bound.
     """
     if args.jobs < 0:
         raise SystemExit(
@@ -503,32 +470,16 @@ def _validate_runtime_options(args: argparse.Namespace) -> None:
             f"--item-timeout must be a positive number of seconds, "
             f"got {args.item_timeout:g}"
         )
-
-
-def _validate_fabric_options(args: argparse.Namespace) -> None:
-    """Reject nonsensical fabric options before any process is forked."""
-    if args.workers < 0:
-        raise SystemExit(
-            f"--workers must be non-negative (0 = external workers only), "
-            f"got {args.workers}"
-        )
     if args.lease_ttl <= 0:
         raise SystemExit(
             f"--lease-ttl must be a positive number of seconds, "
             f"got {args.lease_ttl:g}"
         )
-    if args.heartbeat_interval is not None:
-        if args.heartbeat_interval <= 0:
-            raise SystemExit(
-                f"--heartbeat-interval must be a positive number of "
-                f"seconds, got {args.heartbeat_interval:g}"
-            )
-        if args.heartbeat_interval >= args.lease_ttl:
-            raise SystemExit(
-                f"--heartbeat-interval ({args.heartbeat_interval:g}s) must "
-                f"be below --lease-ttl ({args.lease_ttl:g}s), or every "
-                f"lease expires between renewals"
-            )
+    if args.telemetry and (args.fabric_dir is not None or args.listen is not None):
+        raise SystemExit(
+            "--telemetry cannot be combined with --fabric-dir/--listen: "
+            "fabric workers do not send telemetry back"
+        )
     if args.listen is not None:
         from repro.runtime.transport import parse_endpoint
 
@@ -605,54 +556,6 @@ def _cmd_fig3(args: argparse.Namespace) -> None:
         print(render_chart(table, log_scale=True))
     _export(table, args.csv, "csv")
     _export(table, args.json, "json")
-
-
-def _cmd_sweep_fabric(args: argparse.Namespace) -> None:
-    from repro.experiments.fig2 import fig2_cell, fig2_cells, fig2_tables
-    from repro.runtime import FabricConfig, current_runtime
-    from repro.runtime.fabric import FabricError, run_fabric
-
-    cells = fig2_cells(
-        _parse_sweep(args.interarrivals), n_packets=args.packets, seed=args.seed
-    )
-    context = current_runtime()
-    config = FabricConfig(
-        workers=args.workers,
-        lease_ttl=args.lease_ttl,
-        heartbeat_interval=args.heartbeat_interval,
-        fabric_dir=args.fabric_dir,
-        listen=args.listen,
-    )
-    try:
-        results, report = run_fabric(
-            fig2_cell, cells, config=config, label="fig2", retry=context.retry
-        )
-    except FabricError as exc:
-        raise SystemExit(str(exc))
-    if report.failed:
-        print(report.render())
-        raise SystemExit(
-            f"{len(report.failed)} cells failed permanently; see the "
-            f"journals under {report.fabric_dir}"
-        )
-    mse, latency = fig2_tables(cells, results)
-    print(mse.render())
-    print()
-    print(latency.render())
-    if args.chart:
-        from repro.analysis.charts import render_chart
-
-        print()
-        print(render_chart(mse, log_scale=True))
-        print()
-        print(render_chart(latency))
-    _export(mse, args.csv, "csv")
-    _export(latency, args.csv, "csv", suffix="latency")
-    _export(mse, args.json, "json")
-    _export(latency, args.json, "json", suffix="latency")
-    print()
-    print(f"fabric dir: {report.fabric_dir}")
-    print(report.render())
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -1233,8 +1136,6 @@ def _dispatch(args: argparse.Namespace) -> None:
         _cmd_chaos(args)
     elif args.command == "scenarios":
         _cmd_scenarios(args)
-    elif args.command == "sweep-fabric":
-        _cmd_sweep_fabric(args)
     elif args.command == "theory":
         _cmd_theory(args.fast)
     elif args.command == "queueing":
@@ -1277,6 +1178,8 @@ def _main(argv: Sequence[str] | None = None) -> int:
     import time
 
     from repro.runtime import (
+        FabricConfig,
+        FabricError,
         ResultCache,
         RetryPolicy,
         default_cache_dir,
@@ -1284,8 +1187,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
     )
 
     _validate_runtime_options(args)
-    if args.command == "sweep-fabric":
-        _validate_fabric_options(args)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     cache = None
     if not args.no_cache:
@@ -1298,6 +1199,14 @@ def _main(argv: Sequence[str] | None = None) -> int:
         on_failure="quarantine" if args.quarantine else "raise",
     )
     journal_dir = cache.directory / "journal" if cache is not None else None
+    fabric = None
+    if args.fabric_dir is not None or args.listen is not None:
+        fabric = FabricConfig(
+            workers=jobs if jobs > 1 else 0,
+            lease_ttl=args.lease_ttl,
+            fabric_dir=args.fabric_dir,
+            listen=args.listen,
+        )
     started_at = time.time()
     started_clock = time.monotonic()
     try:
@@ -1308,12 +1217,19 @@ def _main(argv: Sequence[str] | None = None) -> int:
             journal_dir=journal_dir,
             resume=args.resume,
             telemetry=args.telemetry,
+            fabric=fabric,
         ) as context:
             _dispatch(args)
     except KeyboardInterrupt:
         # The supervisor already flushed the journal and printed the
         # resume hint; exit with the conventional SIGINT code.
         return 130
+    except FabricError as exc:
+        raise SystemExit(str(exc))
+    for fabric_report in context.fabric_reports:
+        print()
+        print(f"fabric dir: {fabric_report.fabric_dir}")
+        print(fabric_report.render())
     if args.telemetry:
         import dataclasses
         from pathlib import Path

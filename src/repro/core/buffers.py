@@ -45,25 +45,29 @@ __all__ = [
 ]
 
 
-def _validated_capacity(capacity: Any) -> int:
+def _validated_capacity(
+    capacity: Any, name: str = "capacity", minimum: int = 1
+) -> int:
     """Capacity as an exact integer; mirrors the erlang.py convention.
 
     ``operator.index`` admits any integral type (python ints, numpy
     integers) while rejecting floats -- ``DropTailBuffer(2.9)`` used to
     silently truncate to 2 slots -- and bools, which are technically
-    ints but always a caller bug here.
+    ints but always a caller bug here.  The specs that build buffers
+    (``BufferSpec``, ``CapacitySpec``) apply the same rule, naming the
+    offending field in ``name``.
     """
     if isinstance(capacity, bool):
-        raise TypeError("capacity must be an integer, not a bool")
+        raise TypeError(f"{name} must be an integer, not a bool")
     try:
         value = operator.index(capacity)
     except TypeError:
         raise TypeError(
-            f"capacity must be an integer, got {type(capacity).__name__} "
+            f"{name} must be an integer, got {type(capacity).__name__} "
             f"({capacity!r})"
         )
-    if value < 1:
-        raise ValueError(f"capacity must be at least 1, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 

@@ -39,7 +39,7 @@ from repro.faults.plan import (
 from repro.runtime.context import run_simulation
 from repro.sim.config import BufferSpec, SimulationConfig
 
-__all__ = ["ChaosRow", "chaos_plan", "chaos_sweep", "render_chaos_rows"]
+__all__ = ["ChaosRow", "chaos_cell", "chaos_plan", "chaos_sweep", "render_chaos_rows"]
 
 #: intensity at and above which the trunk-parent crash window turns on
 CRASH_INTENSITY_THRESHOLD = 0.5
@@ -118,6 +118,37 @@ def _discipline_config(
     raise ValueError(f"unknown discipline {discipline!r}")
 
 
+def chaos_cell(cell: tuple[str, bool, float, float, int, int, int]) -> ChaosRow:
+    """Run and score one (discipline, ARQ, intensity) cell.
+
+    The cell carries all of its parameters, so this module-level
+    function runs unchanged on the sweep fabric.
+    """
+    discipline, arq, intensity, interarrival, n_packets, seed, flow_id = cell
+    config = _discipline_config(discipline, interarrival, n_packets, seed)
+    config = config.with_faults(chaos_plan(intensity, config, arq=arq))
+    result = run_simulation(config)
+    delivered = result.delivered_count(flow_id)
+    if delivered:
+        metrics = score_flow(result, build_adversary("baseline", "rcad"), flow_id)
+        mse, latency = metrics.mse, metrics.latency.mean
+    else:  # the adversary has nothing to estimate
+        mse, latency = float("nan"), float("nan")
+    return ChaosRow(
+        discipline=discipline,
+        arq=arq,
+        intensity=float(intensity),
+        delivered_fraction=delivered / n_packets,
+        mse=mse,
+        mean_latency=latency,
+        retransmissions=result.total_retransmissions(),
+        lost_in_transit=result.lost_in_transit,
+        stranded=result.stranded_in_buffer,
+        duplicates_suppressed=result.duplicates_suppressed,
+        preemptions=result.total_preemptions(),
+    )
+
+
 def chaos_sweep(
     intensities: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0),
     disciplines: tuple[str, ...] = ("drop-tail", "rcad"),
@@ -129,40 +160,12 @@ def chaos_sweep(
 ) -> list[ChaosRow]:
     """Sweep fault intensity across disciplines and ARQ modes."""
     cells = [
-        (discipline, arq, intensity)
+        (discipline, arq, intensity, interarrival, n_packets, seed, flow_id)
         for discipline in disciplines
         for arq in arq_modes
         for intensity in intensities
     ]
-
-    def run_cell(cell: tuple[str, bool, float]) -> ChaosRow:
-        discipline, arq, intensity = cell
-        config = _discipline_config(discipline, interarrival, n_packets, seed)
-        config = config.with_faults(chaos_plan(intensity, config, arq=arq))
-        result = run_simulation(config)
-        delivered = result.delivered_count(flow_id)
-        if delivered:
-            metrics = score_flow(
-                result, build_adversary("baseline", "rcad"), flow_id
-            )
-            mse, latency = metrics.mse, metrics.latency.mean
-        else:  # the adversary has nothing to estimate
-            mse, latency = float("nan"), float("nan")
-        return ChaosRow(
-            discipline=discipline,
-            arq=arq,
-            intensity=float(intensity),
-            delivered_fraction=delivered / n_packets,
-            mse=mse,
-            mean_latency=latency,
-            retransmissions=result.total_retransmissions(),
-            lost_in_transit=result.lost_in_transit,
-            stranded=result.stranded_in_buffer,
-            duplicates_suppressed=result.duplicates_suppressed,
-            preemptions=result.total_preemptions(),
-        )
-
-    return sweep(cells, run_cell)
+    return sweep(cells, chaos_cell)
 
 
 def render_chaos_rows(rows: list[ChaosRow]) -> str:

@@ -86,8 +86,9 @@ def fig2_tables(
 ) -> tuple[ExperimentTable, ExperimentTable]:
     """Assemble both Figure 2 panels from per-cell scores.
 
-    Shared by :func:`figure2` and ``repro sweep-fabric`` so the two
-    paths produce bit-identical tables from the same per-cell values.
+    :func:`figure2` feeds it the sweep's values; a caller holding
+    per-cell values from elsewhere (a direct ``run_fabric`` call, a
+    test) gets bit-identical tables from the same scores.
     """
     mse_table = ExperimentTable(
         title="Figure 2(a): adversary estimation error, flow S1",
@@ -133,7 +134,7 @@ def figure2(
     both plots from the same runs.
     """
     # Flatten the (case, 1/lambda) grid into independent cells so the
-    # active executor can fan every simulation out at once.
+    # active runtime can fan every simulation out at once.
     cells = fig2_cells(interarrivals, n_packets, seed, flow_id)
     return fig2_tables(cells, sweep(cells, fig2_cell))
 

@@ -32,7 +32,7 @@ from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
 from repro.queueing.tandem import QueueTreeModel
 
-__all__ = ["ADVERSARY_LABELS", "figure3", "paper_path_aware_adversary"]
+__all__ = ["ADVERSARY_LABELS", "fig3_cell", "figure3", "paper_path_aware_adversary"]
 
 #: The paper's legend labels, keyed by adversary kind.
 ADVERSARY_LABELS: dict[str, str] = {
@@ -62,6 +62,28 @@ def paper_path_aware_adversary(interarrival: float) -> Adversary:
     )
 
 
+def fig3_cell(
+    cell: tuple[float, int, int, int, tuple[str, ...]],
+) -> dict[str, float]:
+    """One load: run RCAD once and score it by every adversary kind.
+
+    The cell carries all of its parameters, so this module-level
+    function runs unchanged on the sweep fabric.
+    """
+    interarrival, n_packets, seed, flow_id, kinds = cell
+    result = run_paper_case(
+        interarrival=interarrival, case="rcad", n_packets=n_packets, seed=seed
+    )
+    scores: dict[str, float] = {}
+    for kind in kinds:
+        if kind == "path-aware":
+            adversary = paper_path_aware_adversary(interarrival)
+        else:
+            adversary = build_adversary(kind, "rcad")
+        scores[kind] = score_flow(result, adversary, flow_id=flow_id).mse
+    return scores
+
+
 def figure3(
     interarrivals: Sequence[float] = PAPER_INTERARRIVALS,
     n_packets: int = PAPER_N_PACKETS,
@@ -84,25 +106,14 @@ def figure3(
         y_label="mean square error",
     )
     labels = dict(ADVERSARY_LABELS)
-    kinds = list(labels)
     if include_path_aware:
-        kinds.append("path-aware")
         labels["path-aware"] = PATH_AWARE_LABEL
-
-    def run_load(interarrival: float) -> dict[str, float]:
-        result = run_paper_case(
-            interarrival=interarrival, case="rcad", n_packets=n_packets, seed=seed
-        )
-        scores: dict[str, float] = {}
-        for kind in kinds:
-            if kind == "path-aware":
-                adversary = paper_path_aware_adversary(interarrival)
-            else:
-                adversary = build_adversary(kind, "rcad")
-            scores[kind] = score_flow(result, adversary, flow_id=flow_id).mse
-        return scores
-
-    per_load = sweep(list(interarrivals), run_load)
+    kinds = tuple(labels)
+    cells = [
+        (interarrival, n_packets, seed, flow_id, kinds)
+        for interarrival in interarrivals
+    ]
+    per_load = sweep(cells, fig3_cell)
     for kind, label in labels.items():
         values = [scores[kind] for scores in per_load]
         table.add(ExperimentSeries(label, list(interarrivals), values))

@@ -27,8 +27,11 @@ per-cell simulator invocation.  This package instruments both:
   drivers call;
 * :mod:`repro.runtime.journal` -- the append-only checkpoint journal
   (JSONL of completed cell results, checksummed line-by-line) that
-  makes interrupted sweeps resumable via ``--resume``;
-* :mod:`repro.runtime.fabric` -- the distributed sweep fabric: a
+  makes interrupted sweeps resumable via ``--resume``, plus
+  :func:`atomic_write`, the one temp-file + fsync + rename publisher
+  behind cache entries, compacted journals and fabric files;
+* :mod:`repro.runtime.fabric` -- the distributed sweep fabric, the
+  supervisor's backend when the context carries a ``FabricConfig``: a
   lease-based coordinator/worker layer over the journal and cache that
   shards one grid across worker processes (or hosts sharing a cache
   directory), steals work from crashed workers, and merges results in
@@ -61,6 +64,7 @@ from repro.runtime.journal import (
     CompactionStats,
     JournalStats,
     SweepJournal,
+    atomic_write,
     compact_journal,
     sweep_fingerprint,
 )
@@ -116,6 +120,7 @@ __all__ = [
     "CompactionStats",
     "JournalStats",
     "SweepJournal",
+    "atomic_write",
     "compact_journal",
     "sweep_fingerprint",
     "FailureRecord",

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,6 +38,7 @@ from repro.runtime.fingerprint import (
     code_salt,
     stable_fingerprint,
 )
+from repro.runtime.journal import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.config import SimulationConfig
@@ -204,30 +204,14 @@ class ResultCache:
         self, config: "SimulationConfig", result: "SimulationResult", elapsed: float
     ) -> None:
         """Store ``result`` (with its compute time) under ``config``'s key."""
-        path = self._path_for(self.key_for(config))
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(
             (float(elapsed), result), protocol=pickle.HIGHEST_PROTOCOL
         )
-        # Atomic publish: concurrent workers (possibly on other hosts,
-        # via the fabric's shared-cache-dir mode) may race on the same
-        # key, but every one of them writes the identical byte-for-byte
-        # payload, so last-replace-wins is harmless.  The fsync before
-        # the rename keeps a power-cut from publishing a name whose
-        # data blocks never hit the disk.
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_frame_payload(payload))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        # Concurrent workers (possibly on other hosts, via the fabric's
+        # shared-cache-dir mode) may race on the same key, but every one
+        # of them writes the identical byte-for-byte payload, so
+        # last-replace-wins is harmless.
+        atomic_write(self._path_for(self.key_for(config)), _frame_payload(payload))
         self.stats.stores += 1
         self.stats.seconds_computed += elapsed
 

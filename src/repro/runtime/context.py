@@ -26,6 +26,7 @@ from repro.runtime.supervisor import FailureReport, RetryPolicy
 from repro.telemetry import TelemetryAggregate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.fabric import FabricConfig, FabricReport
     from repro.sim.config import SimulationConfig
     from repro.sim.results import SimulationResult
 
@@ -86,6 +87,12 @@ class RuntimeContext:
     """Run telemetry collector; None (the default) disables
     instrumentation entirely -- simulations take the legacy code paths
     with a single flag check."""
+    fabric: "FabricConfig | None" = None
+    """Run every sweep through the distributed fabric; None (the
+    default) keeps sweeps on the local
+    :class:`~repro.runtime.supervisor.Supervisor`."""
+    fabric_reports: "list[FabricReport]" = field(default_factory=list)
+    """One report per sweep the fabric ran."""
 
 
 _DEFAULT = RuntimeContext()
@@ -106,6 +113,7 @@ def use_runtime(
     journal_dir: str | Path | None = None,
     resume: bool = False,
     telemetry: bool = False,
+    fabric: "FabricConfig | None" = None,
 ) -> Iterator[RuntimeContext]:
     """Activate a worker-count/cache pairing for the enclosed experiments.
 
@@ -132,7 +140,18 @@ def use_runtime(
         histograms, engine counters) into ``ctx.telemetry``.  Changes
         cache identities: instrumented results are cached under
         distinct keys from plain ones.
+    fabric:
+        A :class:`~repro.runtime.fabric.FabricConfig`: every sweep then
+        runs through the lease-based fabric instead of the local
+        supervisor.  Its ``workers`` lease workers are forked (0 forks
+        none and waits one lease TTL for external ``repro worker``
+        processes before finishing in-process); ``jobs`` does not
+        apply.  ``retry`` still decides what a permanently failed cell
+        does.  Cell functions must be importable by name, and
+        ``telemetry`` is not collected from fabric workers.
     """
+    if telemetry and fabric is not None:
+        raise ValueError("telemetry is not collected from fabric workers")
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     context = RuntimeContext(
@@ -142,6 +161,7 @@ def use_runtime(
         journal_dir=Path(journal_dir) if journal_dir is not None else None,
         resume=resume,
         telemetry=TelemetryAggregate() if telemetry else None,
+        fabric=fabric,
     )
     _STACK.append(context)
     try:

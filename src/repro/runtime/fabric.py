@@ -1,14 +1,18 @@
 """Distributed sweep fabric: lease-based coordinator/worker execution.
 
-The parallel runtime (PRs 2-4) fans a sweep out over a process pool
-inside *one* supervising process.  The fabric scales the same sweeps
-past that boundary: a **coordinator** shards the grid into leased work
-units recorded in a shared *fabric directory*, and **workers** -- forked
-locally by the coordinator, or joined from anywhere via ``repro worker``
-pointed at the same directory -- claim leases, run cells, and append
-results to checksummed per-worker journals.  Sharing a result-cache
-directory between hosts gives free cross-worker dedup: a cell computed
-anywhere is a cache hit everywhere.
+The :class:`~repro.runtime.supervisor.Supervisor` fans a sweep out over
+a process pool inside *one* supervising process.  The fabric scales the
+same sweeps past that boundary, as a backend of
+:func:`~repro.runtime.supervisor.supervised_map`: whenever the runtime
+context carries a :class:`FabricConfig` (``use_runtime(fabric=...)``,
+or ``--fabric-dir``/``--listen`` on any simulation verb), every sweep
+runs through :func:`run_fabric`.  A **coordinator** shards the grid
+into leased work units recorded in a shared *fabric directory*, and
+**workers** -- forked locally by the coordinator, or joined from
+anywhere via ``repro worker`` pointed at the same directory -- claim
+leases, run cells, and append results to checksummed per-worker
+journals.  Sharing a result-cache directory between hosts gives free
+cross-worker dedup: a cell computed anywhere is a cache hit everywhere.
 
 Layout of one fabric directory (all writes atomic or append-only)::
 
@@ -61,21 +65,21 @@ import os
 import pickle
 import re
 import socket
-import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.runtime import supervisor as _supervisor
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.journal import (
+    atomic_write,
     decode_cell_entry,
     encode_cell_entry,
     sweep_fingerprint,
 )
-from repro.runtime.supervisor import RetryPolicy, supervised_map
+from repro.runtime.supervisor import RetryPolicy
 from repro.runtime.transport import (
     TRANSPORT_VERSION,
     FabricEndpoint,
@@ -115,26 +119,14 @@ class FabricError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Small atomic-file helpers.  Every mutable file in the fabric directory
-# (heartbeats, stolen leases, the grid itself) is published with temp
-# file + ``os.replace`` so no reader can ever observe a torn write.
+# Small file helpers.  Every mutable file in the fabric directory
+# (heartbeats, stolen leases, the grid itself) is published with
+# :func:`~repro.runtime.journal.atomic_write` so no reader can ever
+# observe a torn write.
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, json.dumps(payload).encode("utf-8"))
 
 
 def _read_json(path: Path) -> dict | None:
@@ -275,7 +267,8 @@ class FabricConfig:
         Local worker processes the coordinator forks (0 = coordinate
         externally joined ``repro worker`` processes only; with none
         joining, the coordinator completes serially after one lease
-        TTL).
+        TTL).  ``repro`` commands set it from ``--jobs`` (``--jobs N``
+        with N > 1 forks N workers, ``--jobs 1`` none).
     lease_ttl:
         Seconds of heartbeat silence after which a worker's leases are
         considered expired and stealable.
@@ -287,7 +280,9 @@ class FabricConfig:
         Coordinator/worker scan period for journals and leases.
     fabric_dir:
         Shared state directory; defaults to
-        ``<cache-dir>/fabric/<sweep-id[:16]>``.
+        ``<cache-dir>/fabric/<sweep-id[:16]>``.  An explicit directory
+        holds one sweep, so a caller running several sweeps leaves it
+        None.
     cache_dir:
         Result-cache directory handed to every worker (the shared-dir
         dedup trick); None disables worker-side caching.
@@ -413,20 +408,7 @@ def write_grid(
             )
         )
     payload = "".join(line + "\n" for line in lines)
-    fabric_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=fabric_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, fabric_dir / _GRID_FILE)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(fabric_dir / _GRID_FILE, payload.encode("utf-8"))
 
 
 def _parse_grid_lines(
@@ -725,6 +707,7 @@ class ResultsScanner:
         self.n_items = int(n_items)
         self.cells: dict[int, object] = {}
         self.failed: dict[int, str] = {}
+        self.attempts: dict[int, int] = {}
         self.per_worker: dict[str, int] = {}
         self.events: list[dict] = []
         self.corrupt_lines = 0
@@ -769,6 +752,7 @@ class ResultsScanner:
                     index, value = decode_cell_entry(entry, self.n_items)
                     self.cells[index] = value
                     self.failed.pop(index, None)
+                    self.attempts.pop(index, None)
                     self.per_worker[worker] = self.per_worker.get(worker, 0) + 1
                 elif kind == "failed":
                     index = int(entry["index"])
@@ -776,6 +760,7 @@ class ResultsScanner:
                         raise ValueError(f"index {index} out of range")
                     if index not in self.cells:
                         self.failed[index] = str(entry.get("error", "unknown"))
+                        self.attempts[index] = int(entry.get("attempts", 1))
                 elif kind == "event":
                     self.events.append(entry)
                 # header / unknown kinds: ignored.
@@ -811,14 +796,14 @@ class FabricWorker:
     cache_dir:
         Result-cache root; defaults to the grid header's ``cache_dir``.
     retry:
-        Per-cell :class:`~repro.runtime.supervisor.RetryPolicy`; cells
-        are run through :func:`supervised_map`, so retries and
-        quarantine behave exactly as in single-host sweeps.  A cell
-        failing permanently journals a ``failed`` record (superseded if
-        another worker later succeeds).
+        Per-cell :class:`~repro.runtime.supervisor.RetryPolicy`: its
+        attempts and backoff apply to every cell.  A cell failing
+        permanently journals a ``failed`` record (superseded if another
+        worker later succeeds); the coordinator's policy then raises or
+        quarantines it.
     connect:
         ``host:port`` of a coordinator endpoint
-        (``repro sweep-fabric --listen``).  The worker then claims
+        (any simulation verb run with ``--listen``).  The worker then claims
         cells and uploads results over TCP; every RPC retries with
         capped exponential backoff for up to ``max_retry_elapsed``
         seconds before the transport is declared down.
@@ -1023,48 +1008,38 @@ class FabricWorker:
         return None
 
     def _run_cell(self, index: int) -> None:
-        from repro.runtime.context import current_runtime
-
-        label = f"fabric:{self.header['sweep'][:12]}[{index}]"
-        try:
-            values = supervised_map(
-                self.fn, [self.items[index]], current_runtime(), label=label
-            )
-            value = values[0]
-            context = current_runtime()
-            if value is None and context.failure_reports:
-                report = context.failure_reports[-1]
-                raise RuntimeError(
-                    f"cell quarantined after retries: "
-                    f"{report.failures[-1].message if report.failures else '?'}"
-                )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            self._journal_write(
-                {
-                    "kind": "failed",
-                    "index": index,
-                    "worker": self.worker_id,
-                    "error": repr(exc)[:500],
-                }
-            )
+        # A one-item Supervisor run applies the policy's attempts and
+        # backoff; a cell that still fails is journaled as failed with
+        # the attempts it used, so quarantine stays the coordinator's
+        # decision.
+        supervisor = _supervisor.Supervisor(
+            replace(self.retry, on_failure="quarantine"),
+            label=f"fabric:{self.header['sweep'][:12]}[{index}]",
+        )
+        (value,), failure = supervisor.run(self.fn, [self.items[index]])
+        if failure is not None and failure.failures:
+            (record,) = failure.failures
+            self._journal_failed(index, record.message, record.attempts)
             return
         entry = encode_cell_entry(index, value)
         if entry is None:
-            self._journal_write(
-                {
-                    "kind": "failed",
-                    "index": index,
-                    "worker": self.worker_id,
-                    "error": "result is not picklable",
-                }
-            )
+            self._journal_failed(index, "result is not picklable", 1)
             return
         entry["worker"] = self.worker_id
         self._journal_write(entry)
         self.cells_computed += 1
         self.heartbeat.cells_done = self.cells_computed
+
+    def _journal_failed(self, index: int, message: str, attempts: int) -> None:
+        self._journal_write(
+            {
+                "kind": "failed",
+                "index": index,
+                "worker": self.worker_id,
+                "error": message[:500],
+                "attempts": attempts,
+            }
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> int:
@@ -1211,6 +1186,8 @@ class FabricReport:
     warning: str | None = None
     per_worker: dict[str, int] = field(default_factory=dict)
     failed: dict[int, str] = field(default_factory=dict)
+    attempts: dict[int, int] = field(default_factory=dict)
+    """Attempts the worker spent on each failed cell."""
     wall_seconds: float = 0.0
     endpoint: str | None = None
     transport: dict | None = None
@@ -1295,12 +1272,6 @@ def _publish_fabric_telemetry(report: FabricReport) -> None:
     telemetry.add_run(f"fabric:{report.sweep_id[:12]}", run)
 
 
-def _sweep_label(fn: Callable) -> str:
-    module = getattr(fn, "__module__", "?")
-    name = getattr(fn, "__qualname__", repr(fn))
-    return f"{module}.{name}"
-
-
 def run_fabric(
     fn: Callable,
     items: Sequence[object],
@@ -1328,7 +1299,7 @@ def run_fabric(
     if not items:
         raise ValueError("fabric sweep needs at least one item")
     if label is None:
-        label = _sweep_label(fn)
+        label = _supervisor._sweep_label(fn)
     try:
         sweep_id = sweep_fingerprint(label, items)
     except TypeError as exc:
@@ -1351,15 +1322,7 @@ def run_fabric(
     else:
         root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         fabric_dir = root / "fabric" / sweep_id[:16]
-    config = FabricConfig(
-        workers=config.workers,
-        lease_ttl=config.lease_ttl,
-        heartbeat_interval=config.heartbeat_interval,
-        poll_interval=config.poll_interval,
-        fabric_dir=fabric_dir,
-        cache_dir=cache_dir,
-        listen=config.listen,
-    )
+    config = replace(config, fabric_dir=fabric_dir, cache_dir=cache_dir)
 
     started = time.monotonic()
     report = FabricReport(
@@ -1443,7 +1406,7 @@ def run_fabric(
                     or (report.workers_spawned and processes)
                 ):
                     _complete_serially(
-                        fn, items, scanner, board, report, fabric_dir
+                        fn, items, scanner, report, fabric_dir, retry
                     )
                     break
             time.sleep(config.poll_interval)
@@ -1472,6 +1435,7 @@ def run_fabric(
     report.failed = {
         i: scanner.failed[i] for i in range(len(items)) if i in scanner.failed
     }
+    report.attempts = {i: scanner.attempts[i] for i in report.failed}
     report.computed = len(scanner.done) - report.resumed
     report.corrupt_lines = scanner.corrupt_lines
     report.per_worker = dict(scanner.per_worker)
@@ -1554,9 +1518,9 @@ def _complete_serially(
     fn: Callable,
     items: list,
     scanner: ResultsScanner,
-    board: LeaseBoard,
     report: FabricReport,
     fabric_dir: Path,
+    retry: RetryPolicy | None,
 ) -> None:
     """Degraded mode: every worker is dead, finish in-process.
 
@@ -1577,6 +1541,7 @@ def _complete_serially(
         fn=fn,
         cache_dir=None,  # the coordinator's ambient cache context applies
         poll_interval=0.05,
+        retry=retry,
     )
     # Reuse the coordinator's scanners/boards state where it matters:
     # the worker re-reads journals itself, so nothing is recomputed.

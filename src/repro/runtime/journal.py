@@ -39,10 +39,38 @@ __all__ = [
     "decode_cell_entry",
     "CompactionStats",
     "compact_journal",
+    "atomic_write",
 ]
 
 #: Bump to orphan every existing journal file (format changes).
 JOURNAL_VERSION = 1
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` all-or-nothing.
+
+    The bytes go to a temp file in the same directory, are fsynced, and
+    then :func:`os.replace` the target: a reader sees the old file or
+    the new one, never a torn write, and a power cut cannot publish a
+    name whose data blocks never reached the disk.  The temp file is
+    removed if anything fails before the rename.  Used for cache
+    entries, compacted journals and every mutable fabric file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def encode_cell_entry(index: int, value: object) -> dict | None:
@@ -316,19 +344,7 @@ def compact_journal(path: str | Path) -> CompactionStats:
         stats.bytes_after = stats.bytes_before
         return stats
 
-    payload = "".join(line + "\n" for line in kept)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    stats.bytes_after = len(payload.encode("utf-8"))
+    payload = "".join(line + "\n" for line in kept).encode("utf-8")
+    atomic_write(path, payload)
+    stats.bytes_after = len(payload)
     return stats

@@ -44,6 +44,16 @@ second process to preempt a hung call from); this is documented
 behaviour, not an accident.  Sweeps run serially inside a forked
 worker (a nested pool would be a fork bomb) and where ``fork`` is
 unavailable.
+
+When the context carries a :class:`~repro.runtime.fabric.FabricConfig`
+the sweep runs through :func:`~repro.runtime.fabric.run_fabric`
+instead: the config's ``workers`` sets the forked lease workers, the
+fabric's result journals replace the :class:`SweepJournal`, and a
+permanently failed cell follows the same policy (:class:`WorkerError`
+or quarantine).  Only importable module-level cell functions run
+there: the fabric resumes a sweep from its journals by the sweep's
+fingerprint, which covers the items but not values a closure captures.
+Sweeps nested inside a fabric cell never start a second fabric.
 """
 
 from __future__ import annotations
@@ -76,11 +86,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+#: Options dropped from the serial reproduction hint (each takes a value).
+_PARALLEL_OPTIONS = ("--jobs", "--fabric-dir", "--listen", "--lease-ttl")
+
+
 def _serial_repro_command() -> str:
     """A ready-to-paste ``repro ... --jobs 1`` serial reproduction.
 
     Best effort: rebuilt from ``sys.argv`` with any ``--jobs`` option
-    replaced, falling back to a template outside a CLI invocation.
+    replaced and the fabric options dropped, falling back to a template
+    outside a CLI invocation.
     """
     arguments = []
     skip_next = False
@@ -88,10 +103,9 @@ def _serial_repro_command() -> str:
         if skip_next:
             skip_next = False
             continue
-        if argument == "--jobs":
-            skip_next = True
-            continue
-        if argument.startswith("--jobs="):
+        option, has_value, _ = argument.partition("=")
+        if option in _PARALLEL_OPTIONS:
+            skip_next = not has_value
             continue
         arguments.append(argument)
     if not arguments:
@@ -132,7 +146,8 @@ class WorkerError(RuntimeError):
 # ----------------------------------------------------------------------
 # Fork-side plumbing.  ``_ACTIVE`` holds the work unit between the
 # parent arming it and the pool workers (forked afterwards) reading it;
-# ``_IN_WORKER`` marks forked children so nested sweeps stay serial.
+# ``_IN_WORKER`` marks forked children and a running fabric sweep so
+# nested sweeps stay serial.
 _ACTIVE: dict | None = None
 _IN_WORKER = False
 
@@ -601,6 +616,8 @@ def supervised_map(
     items = list(items)
     if label is None:
         label = _sweep_label(fn)
+    if context.fabric is not None and items and not _IN_WORKER:
+        return _fabric_map(fn, items, context, label)
     journal: SweepJournal | None = None
     completed: dict[int, R] = {}
     if context.journal_dir is not None:
@@ -637,5 +654,47 @@ def supervised_map(
             )
         raise
     if report is not None:
+        context.failure_reports.append(report)
+    return results
+
+
+def _fabric_map(
+    fn: Callable[[T], R],
+    items: list[T],
+    context: "RuntimeContext",
+    label: str,
+) -> list[R | None]:
+    """Run one sweep through the fabric under ``context``'s policy."""
+    global _IN_WORKER
+    from repro.runtime.fabric import FabricError, function_ref, run_fabric
+
+    if function_ref(fn) is None:
+        raise FabricError(
+            f"sweep {label} cannot run on the fabric: its cell function is "
+            f"not importable by name, so values it captures would not reach "
+            f"the sweep's identity; run it without --fabric-dir/--listen"
+        )
+    _IN_WORKER = True
+    try:
+        results, fabric_report = run_fabric(
+            fn, items, config=context.fabric, label=label, retry=context.retry
+        )
+    finally:
+        _IN_WORKER = False
+    context.fabric_reports.append(fabric_report)
+    if fabric_report.failed:
+        report = FailureReport(label=label, n_items=len(items))
+        for index, message in sorted(fabric_report.failed.items()):
+            if context.retry.on_failure == "raise":
+                raise WorkerError(index, items[index], message, "")
+            report.failures.append(
+                FailureRecord(
+                    index=index,
+                    item_repr=repr(items[index])[:200],
+                    kind="error",
+                    attempts=fabric_report.attempts.get(index, 1),
+                    message=message,
+                )
+            )
         context.failure_reports.append(report)
     return results

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.buffers import _validated_capacity
 from repro.defenses import DEFENSES, DefenseContext
 from repro.net.routing import RoutingTree, greedy_grid_tree, shortest_path_tree
 from repro.net.topology import (
@@ -313,8 +314,8 @@ class CapacitySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.base >= 1, f"base capacity must be >= 1, got {self.base}")
-        _require(self.spread >= 0, f"spread must be >= 0, got {self.spread}")
+        _validated_capacity(self.base, "base capacity")
+        _validated_capacity(self.spread, "spread", minimum=0)
 
     def per_node(self, deployment: Deployment) -> dict[int, int] | None:
         """Per-node capacities, or None for the homogeneous model."""
@@ -597,7 +598,7 @@ def load_suite(path: str | Path) -> list[ScenarioSpec]:
         raise ValueError(f"{path} is not valid JSON: {exc}")
     try:
         return parse_suite(data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
+from repro.core.buffers import _validated_capacity
 from repro.core.planner import DelayPlan, UniformPlanner
 from repro.core.victim import VictimPolicy
 from repro.faults.plan import FaultPlan
@@ -51,6 +52,9 @@ class BufferSpec:
 
     ``capacity`` is required for the bounded kinds; ``victim_policy``
     (RCAD only) defaults to the paper's shortest-remaining-delay.
+    Capacities are exact integers, checked here by the rule the buffers
+    themselves apply, so both engines reject a float or bool capacity
+    when the spec is built.
 
     ``per_node_capacity`` (bounded kinds only) overrides ``capacity``
     for the listed node ids, modelling heterogeneous hardware: nodes
@@ -67,9 +71,10 @@ class BufferSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("infinite", "drop-tail", "rcad"):
             raise ValueError(f"unknown buffer kind {self.kind!r}")
-        if self.kind in ("drop-tail", "rcad"):
-            if self.capacity is None or self.capacity < 1:
-                raise ValueError(f"{self.kind} buffers need capacity >= 1")
+        if self.kind in ("drop-tail", "rcad") and self.capacity is None:
+            raise ValueError(f"{self.kind} buffers need capacity >= 1")
+        if self.capacity is not None:
+            _validated_capacity(self.capacity)
         if self.kind != "rcad" and self.victim_policy is not None:
             raise ValueError("victim policies only apply to RCAD buffers")
         if self.per_node_capacity is not None:
@@ -78,11 +83,7 @@ class BufferSpec:
                     "per-node capacities only apply to bounded buffers"
                 )
             for node, slots in self.per_node_capacity.items():
-                if slots < 1:
-                    raise ValueError(
-                        f"per-node capacity for node {node} must be >= 1, "
-                        f"got {slots}"
-                    )
+                _validated_capacity(slots, f"per-node capacity for node {node}")
 
     def capacity_for(self, node: int) -> int | None:
         """Buffer slots at ``node``, or None for unbounded buffers."""

@@ -407,25 +407,41 @@ class TestChaosCommand:
 
 class TestFabricCommands:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["sweep-fabric"])
-        assert args.workers == 2
+        args = build_parser().parse_args(["fig2"])
         assert args.lease_ttl == 30.0
-        assert args.heartbeat_interval is None
         assert args.fabric_dir is None
+        assert args.listen is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-fabric"],
+            ["fig2", "--workers", "2"],
+            ["fig2", "--heartbeat-interval", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_fabric_verb_and_its_private_options_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "run", "chaos", "scenarios"])
+    def test_every_simulation_command_takes_fabric_options(self, command):
+        args = build_parser().parse_args([
+            command, "--fabric-dir", "fab", "--listen", "127.0.0.1:0",
+            "--lease-ttl", "5",
+        ])
+        assert (args.fabric_dir, args.listen, args.lease_ttl) == (
+            "fab", "127.0.0.1:0", 5.0,
+        )
 
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
-            (["sweep-fabric", "--workers", "-1"],
-             r"--workers must be non-negative"),
-            (["sweep-fabric", "--lease-ttl", "0"],
+            (["fig2", "--lease-ttl", "0"],
              r"--lease-ttl must be a positive number of seconds"),
-            (["sweep-fabric", "--lease-ttl", "-3"],
+            (["fig2", "--lease-ttl", "-3"],
              r"--lease-ttl must be a positive number of seconds"),
-            (["sweep-fabric", "--heartbeat-interval", "0"],
-             r"--heartbeat-interval must be a positive number of seconds"),
-            (["sweep-fabric", "--heartbeat-interval", "30", "--lease-ttl", "30"],
-             r"--heartbeat-interval .* must be below --lease-ttl"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,
     )
@@ -433,15 +449,22 @@ class TestFabricCommands:
         with pytest.raises(SystemExit, match=message):
             main(argv)
 
-    def test_validation_fires_before_any_fork(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "fabric", [["--fabric-dir", "fab"], ["--listen", "127.0.0.1:0"]]
+    )
+    def test_telemetry_rejected_with_a_fabric(self, fabric):
+        with pytest.raises(SystemExit, match="--telemetry cannot be combined"):
+            main(["fig2", "--telemetry"] + fabric)
+
+    def test_validation_fires_before_any_fork(self, monkeypatch, tmp_path):
         import repro.runtime.fabric as fabric_module
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("fabric ran despite invalid options")
 
         monkeypatch.setattr(fabric_module, "run_fabric", boom)
-        with pytest.raises(SystemExit, match="--workers must be non-negative"):
-            main(["sweep-fabric", "--workers", "-5"])
+        with pytest.raises(SystemExit, match="--lease-ttl must be a positive"):
+            main(["fig2", "--fabric-dir", str(tmp_path), "--lease-ttl", "-5"])
 
     def test_worker_rejects_bad_heartbeat(self, tmp_path):
         with pytest.raises(
@@ -457,13 +480,13 @@ class TestFabricCommands:
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
-            (["sweep-fabric", "--listen", "nope"],
+            (["fig2", "--listen", "nope"],
              r"invalid --listen endpoint.*host:port"),
-            (["sweep-fabric", "--listen", ":8000"],
+            (["fig2", "--listen", ":8000"],
              r"invalid --listen endpoint.*empty host"),
-            (["sweep-fabric", "--listen", "host:70000"],
+            (["scenarios", "suite.json", "--listen", "host:70000"],
              r"invalid --listen endpoint"),
-            (["sweep-fabric", "--listen", "host:http"],
+            (["fig2", "--listen", "host:http"],
              r"invalid --listen endpoint.*non-numeric"),
             (["worker", "--connect", "nope"],
              r"invalid --connect endpoint.*host:port"),
@@ -479,19 +502,34 @@ class TestFabricCommands:
         with pytest.raises(SystemExit, match=message):
             main(argv)
 
-    def test_listen_port_zero_is_allowed(self, monkeypatch):
+    @staticmethod
+    def _fabric_config_seen(monkeypatch, argv):
         import repro.runtime.fabric as fabric_module
 
         seen = {}
 
         def fake_run_fabric(fn, items, config=None, **kwargs):
-            seen["listen"] = config.listen
+            seen["config"] = config
             raise fabric_module.FabricError("stop here")
 
         monkeypatch.setattr(fabric_module, "run_fabric", fake_run_fabric)
         with pytest.raises(SystemExit, match="stop here"):
-            main(["sweep-fabric", "--listen", "127.0.0.1:0", "--no-cache"])
-        assert seen["listen"] == "127.0.0.1:0"
+            main(["fig2", "--no-cache", "--packets", "40", "--interarrivals", "4"] + argv)
+        return seen["config"]
+
+    def test_listen_port_zero_is_allowed(self, monkeypatch):
+        """--listen alone enables the fabric; --jobs 1 forks no worker."""
+        config = self._fabric_config_seen(monkeypatch, ["--listen", "127.0.0.1:0"])
+        assert config.listen == "127.0.0.1:0"
+        assert config.workers == 0
+
+    def test_jobs_sets_the_forked_lease_workers(self, monkeypatch, tmp_path):
+        config = self._fabric_config_seen(
+            monkeypatch,
+            ["--fabric-dir", str(tmp_path), "--jobs", "3", "--lease-ttl", "7"],
+        )
+        assert (config.workers, config.lease_ttl) == (3, 7.0)
+        assert config.effective_heartbeat_interval == 7.0 / 3
 
     def test_worker_needs_directory_or_connect(self):
         with pytest.raises(
@@ -520,7 +558,7 @@ class TestFabricCommands:
         with pytest.raises(SystemExit, match="unreachable"):
             main(["worker", "--connect", f"127.0.0.1:{port}"])
 
-    def test_sweep_fabric_matches_fig2_output(self, tmp_path, capsys):
+    def test_fabric_fig2_matches_fig2_output(self, tmp_path, capsys):
         fig2_argv = [
             "fig2", "--packets", "40", "--seed", "1",
             "--interarrivals", "4,20", "--no-cache",
@@ -528,27 +566,31 @@ class TestFabricCommands:
         assert main(fig2_argv) == 0
         fig2_out = capsys.readouterr().out
 
-        assert main([
-            "sweep-fabric", "--packets", "40", "--seed", "1",
-            "--interarrivals", "4,20", "--workers", "2",
-            "--lease-ttl", "10", "--no-cache",
-            "--fabric-dir", str(tmp_path / "fab"),
+        assert main(fig2_argv + [
+            "--fabric-dir", str(tmp_path / "fab"), "--jobs", "2",
+            "--lease-ttl", "10",
         ]) == 0
         fabric_out = capsys.readouterr().out
-        assert "fabric:" in fabric_out
-        assert "worker w" in fabric_out
+        # The tables are byte-identical; the fabric trailer follows them.
+        assert fabric_out.startswith(fig2_out)
+        trailer = fabric_out[len(fig2_out):]
+        assert trailer.startswith(f"\nfabric dir: {tmp_path / 'fab'}\nfabric: 6 cells")
+        assert "worker w0" in trailer and "worker w1" in trailer
 
-        def tables_only(text):
-            lines = []
-            for line in text.splitlines():
-                if line.startswith(("cache:", "journal:", "fabric")):
-                    continue
-                if line.startswith("  worker "):
-                    continue
-                lines.append(line)
-            return [line for line in lines if line.strip()]
-
-        assert tables_only(fig2_out) == tables_only(fabric_out)
+    def test_fig3_parameters_reach_the_fabric_sweep_identity(self, tmp_path, capsys):
+        fig3_argv = ["fig3", "--packets", "40", "--interarrivals", "4,20", "--no-cache"]
+        assert main(fig3_argv) == 0
+        fig3_out = capsys.readouterr().out
+        fabric = [
+            "--fabric-dir", str(tmp_path / "fab"), "--jobs", "2", "--lease-ttl", "10",
+        ]
+        assert main(fig3_argv + fabric) == 0
+        assert capsys.readouterr().out.startswith(fig3_out)
+        # A different packet count or adversary set is a different sweep:
+        # the journaled 40-packet cells must not be resumed for it.
+        for change in (["--packets", "60"], ["--path-aware"]):
+            with pytest.raises(SystemExit, match="holds a different sweep"):
+                main(fig3_argv + change + fabric)
 
 
 class TestServeCommand:

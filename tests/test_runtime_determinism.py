@@ -124,3 +124,30 @@ class TestFabricDeterminism:
                 assert s.label == p.label
                 assert s.x_values == p.x_values
                 assert s.y_values == p.y_values
+
+
+class TestFabricBackendDeterminism:
+    def test_scenarios_example_through_fabric_matches_serial(
+        self, tmp_path, capsys
+    ):
+        """A non-fig2 verb on the fabric prints serial-identical summaries."""
+        from repro.cli import main
+
+        assert main(["scenarios", "--example"]) == 0
+        suite = tmp_path / "suite.json"
+        suite.write_text(capsys.readouterr().out)
+        serial_json, fabric_json = tmp_path / "serial.json", tmp_path / "fabric.json"
+
+        argv = ["scenarios", str(suite), "--no-cache", "--json"]
+        assert main(argv + [str(serial_json)]) == 0
+        serial_out = capsys.readouterr().out
+        assert main(argv + [
+            str(fabric_json), "--fabric-dir", str(tmp_path / "fab"),
+            "--jobs", "2",
+        ]) == 0
+        fabric_out = capsys.readouterr().out
+
+        assert fabric_json.read_bytes() == serial_json.read_bytes()
+        table = serial_out.split("wrote ")[0]
+        assert fabric_out.split("wrote ")[0] == table
+        assert "fabric: 12 cells (0 resumed, 12 computed)" in fabric_out

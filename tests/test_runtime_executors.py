@@ -108,6 +108,17 @@ class TestWorkerErrorContract:
         monkeypatch.setattr("sys.argv", ["repro", "chaos", "--jobs=4"])
         assert supervisor_module._serial_repro_command() == "repro chaos --jobs 1"
 
+    def test_repro_command_drops_fabric_options(self, monkeypatch):
+        monkeypatch.setattr(
+            "sys.argv",
+            ["repro", "fig2", "--fabric-dir", "/tmp/fab", "--listen=h:1",
+             "--lease-ttl", "5", "--jobs", "2", "--packets", "50"],
+        )
+        assert (
+            supervisor_module._serial_repro_command()
+            == "repro fig2 --packets 50 --jobs 1"
+        )
+
     def test_repro_command_without_cli_context(self, monkeypatch):
         monkeypatch.setattr("sys.argv", ["pytest"])
         assert supervisor_module._serial_repro_command() == "repro <command> --jobs 1"

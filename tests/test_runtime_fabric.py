@@ -6,6 +6,7 @@ bit-identical to the serial executor.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -33,6 +34,13 @@ from repro.runtime.fabric import (
 
 def _square(x):
     return x * x
+
+
+def _nested_sum(x):
+    from repro.analysis.sweep import sweep
+
+    assert multiprocessing.parent_process() is None  # ran in the coordinator
+    return sum(sweep([x, x + 1], _square))
 
 
 def _fast_config(fabric_dir, workers=2, **overrides):
@@ -332,11 +340,14 @@ class TestResultsScanner:
 
         path = tmp_path / "results" / "w0.jsonl"
         self._write(path, [
-            json.dumps({"kind": "failed", "index": 0, "error": "boom"}) + "\n",
+            json.dumps(
+                {"kind": "failed", "index": 0, "error": "boom", "attempts": 3}
+            ) + "\n",
         ])
         scanner = ResultsScanner(tmp_path, n_items=1)
         scanner.scan()
         assert scanner.failed == {0: "boom"}
+        assert scanner.attempts == {0: 3}
         assert scanner.done == {0}
 
         self._write(
@@ -478,6 +489,101 @@ class TestRunFabric:
             if name.startswith("fabric/cells-by/")
         ]
         assert per_worker
+
+
+class TestSupervisedMapBackend:
+    """``use_runtime(fabric=...)`` sends every sweep through the fabric
+    under the same failure policy as the local supervisor."""
+
+    @staticmethod
+    def _doomed(x):
+        if x == 2:
+            raise ValueError("doomed cell")
+        return x
+
+    def test_sweep_runs_on_the_fabric_without_a_sweep_journal(self, tmp_path):
+        from repro.analysis.sweep import sweep
+        from repro.runtime import use_runtime
+
+        with use_runtime(
+            jobs=3,
+            fabric=_fast_config(tmp_path / "fab", workers=2),
+            journal_dir=tmp_path / "journal",
+        ) as context:
+            assert sweep([1, 2, 3, 4], _square) == [1, 4, 9, 16]
+        (report,) = context.fabric_reports
+        assert report.workers_spawned == 2  # from the config, not jobs
+        assert report.computed == 4
+        assert context.journal_stats.recorded == 0
+        assert not (tmp_path / "journal").exists()
+
+    def test_failed_cell_raises_worker_error_by_default(self, tmp_path):
+        from repro.analysis.sweep import sweep
+        from repro.runtime import WorkerError, use_runtime
+
+        with use_runtime(jobs=2, fabric=_fast_config(tmp_path / "fab")):
+            with pytest.raises(WorkerError, match="doomed cell") as info:
+                sweep([1, 2, 3], self._doomed)
+        assert (info.value.index, info.value.item) == (1, 2)
+
+    def test_quarantine_yields_none_and_a_failure_report(self, tmp_path):
+        from repro.analysis.sweep import sweep
+        from repro.runtime import RetryPolicy, use_runtime
+
+        policy = RetryPolicy(max_attempts=2, backoff=0.0, on_failure="quarantine")
+        with use_runtime(
+            jobs=2, retry=policy, fabric=_fast_config(tmp_path / "fab")
+        ) as context:
+            assert sweep([1, 2, 3], self._doomed) == [1, None, 3]
+        (report,) = context.failure_reports
+        assert report.quarantined_indices == [1]
+        (record,) = report.failures
+        assert record.attempts == 2
+        assert "doomed cell" in record.message
+
+    def test_no_live_worker_finishes_in_process_without_nested_fabric(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runtime.fabric as fabric_module
+        from repro.analysis.sweep import sweep
+        from repro.runtime import use_runtime
+
+        calls = []
+        real_run_fabric = fabric_module.run_fabric
+
+        def counting_run_fabric(*args, **kwargs):
+            calls.append(args)
+            return real_run_fabric(*args, **kwargs)
+
+        monkeypatch.setattr(fabric_module, "run_fabric", counting_run_fabric)
+        with use_runtime(
+            jobs=2,
+            fabric=_fast_config(tmp_path / "fab", workers=0, lease_ttl=0.3),
+        ) as context:
+            assert sweep([1, 2], _nested_sum) == [1 + 4, 4 + 9]
+        assert len(calls) == 1
+        (report,) = context.fabric_reports
+        assert report.workers_spawned == 0
+        assert report.degraded
+        assert report.per_worker == {"coordinator": 2}
+
+
+    def test_closure_cells_are_refused(self, tmp_path):
+        from repro.analysis.sweep import sweep
+        from repro.runtime import use_runtime
+
+        offset = 17
+        with use_runtime(fabric=_fast_config(tmp_path / "fab")):
+            with pytest.raises(FabricError, match="not importable by name"):
+                sweep([1, 2], lambda x: x + offset)
+        assert not (tmp_path / "fab").exists()
+
+    def test_telemetry_is_refused_with_a_fabric(self, tmp_path):
+        from repro.runtime import use_runtime
+
+        with pytest.raises(ValueError, match="telemetry"):
+            with use_runtime(telemetry=True, fabric=_fast_config(tmp_path)):
+                pass  # pragma: no cover - never entered
 
 
 class TestSigkillRecovery:

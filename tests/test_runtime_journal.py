@@ -8,6 +8,7 @@ from repro.analysis.sweep import sweep
 from repro.runtime import (
     RetryPolicy,
     SweepJournal,
+    atomic_write,
     compact_journal,
     sweep_fingerprint,
     use_runtime,
@@ -81,6 +82,23 @@ class TestSweepJournal:
         fresh.close()
         loaded = SweepJournal(tmp_path, "trunc", n_items=2, resume=True).load()
         assert loaded == {1: "new"}
+
+
+class TestAtomicWrite:
+    def test_publishes_bytes_and_creates_parents(self, tmp_path):
+        target = tmp_path / "a" / "b" / "file.bin"
+        atomic_write(target, b"first")
+        atomic_write(target, b"second")
+        assert target.read_bytes() == b"second"
+        assert sorted(p.name for p in target.parent.iterdir()) == ["file.bin"]
+
+    def test_failed_write_keeps_old_file_and_removes_temp(self, tmp_path):
+        target = tmp_path / "file.bin"
+        atomic_write(target, b"old")
+        with pytest.raises(TypeError):
+            atomic_write(target, "not bytes")  # type: ignore[arg-type]
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
 
 
 class TestCompaction:

@@ -130,6 +130,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="n_packet"):
             ScenarioSpec.from_dict({"name": "t", "n_packet": 5})
 
+    @pytest.mark.parametrize(
+        ("capacity", "error"),
+        [
+            ({"base": 2.5}, TypeError),
+            ({"base": True}, TypeError),
+            ({"base": 0}, ValueError),
+            ({"base": 4, "spread": 1.5}, TypeError),
+            ({"base": 4, "spread": True}, TypeError),
+            ({"base": 4, "spread": -1}, ValueError),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+    )
+    def test_capacity_from_json_must_be_an_exact_integer(self, capacity, error):
+        data = small_spec().to_dict()
+        data["capacity"] = capacity
+        with pytest.raises(error, match="base capacity|spread"):
+            ScenarioSpec.from_dict(data)
+
+    def test_bad_capacity_in_a_suite_file_names_the_file(self, tmp_path):
+        data = small_spec().to_dict()
+        data["capacity"] = {"base": 2.5}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"scenarios": [data]}))
+        with pytest.raises(ValueError, match="suite.json.*base capacity"):
+            load_suite(path)
+
     def test_explicit_sources_validated_against_deployment(self):
         spec = small_spec(
             sources=SourceSpec(placement="explicit", nodes=(99,))

@@ -19,6 +19,34 @@ class TestBufferSpec:
         with pytest.raises(ValueError):
             BufferSpec(kind="drop-tail", capacity=0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "error"),
+        [
+            ({"capacity": 2.5}, TypeError),
+            ({"capacity": True}, TypeError),
+            ({"capacity": 3.0}, TypeError),
+            ({"capacity": -1}, ValueError),
+            ({"capacity": 4, "per_node_capacity": {7: 2.5}}, TypeError),
+            ({"capacity": 4, "per_node_capacity": {7: False}}, TypeError),
+            ({"capacity": 4, "per_node_capacity": {7: 0}}, ValueError),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, dict) else None,
+    )
+    @pytest.mark.parametrize("kind", ["drop-tail", "rcad"])
+    def test_capacity_must_be_an_exact_integer(self, kind, kwargs, error):
+        """Both engines see the same buffers: a float or bool capacity
+        fails when the spec is built, not later on one engine only."""
+        with pytest.raises(error, match="capacity"):
+            BufferSpec(kind=kind, **kwargs)
+
+    def test_numpy_integer_capacity_accepted(self):
+        import numpy as np
+
+        spec = BufferSpec(
+            kind="drop-tail", capacity=np.int64(3), per_node_capacity={1: np.int32(2)}
+        )
+        assert spec.capacity_for(1) == 2
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             BufferSpec(kind="magic")  # type: ignore[arg-type]
