@@ -18,18 +18,20 @@ buffer capacity k.  Three estimators of increasing sophistication:
   estimate from ``1/mu`` to ``n k / lambda_tot``.
 
 All adversaries consume :class:`~repro.net.packet.PacketObservation`
-objects only -- the construction of that type guarantees no ground
-truth can leak into the estimate.
+objects, or their columnar :class:`~repro.net.packet.SinkTap`, only --
+the construction of those types guarantees no ground truth can leak
+into the estimate.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.packet import PacketObservation
+from repro.net.packet import PacketObservation, SinkTap
 from repro.queueing.erlang import erlang_b, erlang_b_batch
 
 __all__ = [
@@ -91,27 +93,30 @@ class Adversary(abc.ABC):
     def estimate(self, observation: PacketObservation) -> float:
         """Estimated creation time x_hat for one observed packet."""
 
-    def estimate_all(self, observations: list[PacketObservation]) -> list[float]:
+    def estimate_all(self, observations: Sequence[PacketObservation]) -> list[float]:
         """Estimate a whole arrival sequence (must be in arrival order).
 
-        Dispatches to the adversary's numpy batch kernel
-        (:meth:`_estimate_batch`) when one exists; adversaries without
-        one fall back to the per-observation scalar loop.  The kernels
-        perform the same IEEE-754 operations in the same per-element
-        order as :meth:`estimate`, so both paths produce identical
-        estimates -- :meth:`estimate_all_scalar` is kept as the
-        explicit oracle the equivalence tests compare against.
+        Reads the observations as columns: a run's ``observations``
+        already is a :class:`~repro.net.packet.SinkTap`, and any other
+        sequence is converted to one.  Dispatches to the adversary's
+        numpy batch kernel (:meth:`_estimate_batch`) when one exists;
+        adversaries without one fall back to the per-observation scalar
+        loop.  The kernels perform the same IEEE-754 operations in the
+        same per-element order as :meth:`estimate`, so both paths
+        produce identical estimates -- :meth:`estimate_all_scalar` is
+        kept as the explicit oracle the equivalence tests compare
+        against.
         """
-        if not observations:
+        tap = SinkTap.of(observations)
+        if not len(tap):
             return []
-        n = len(observations)
-        arrivals = np.fromiter((o.arrival_time for o in observations), np.float64, n)
-        hops = np.fromiter((o.hop_count for o in observations), np.float64, n)
-        origins = np.fromiter((o.origin for o in observations), np.int64, n)
+        arrivals = tap.arrival_time
         self._check_arrival_order(arrivals)
-        batch = self._estimate_batch(arrivals, hops, origins)
+        batch = self._estimate_batch(
+            arrivals, tap.hop_count.astype(np.float64), tap.origin
+        )
         if batch is None:
-            return [self.estimate(observation) for observation in observations]
+            return [self.estimate(observation) for observation in tap]
         return batch.tolist()
 
     def estimate_all_scalar(

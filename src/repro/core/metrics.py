@@ -9,8 +9,9 @@ Two metrics drive the whole evaluation:
   "introduce minimal extra latency while maximizing temporal privacy".
 
 :class:`PacketRecord` is the per-packet ground-truth row produced by
-the simulator; :func:`summarize_flow` matches adversary estimates
-against it to produce a :class:`FlowMetrics`.
+the simulator, and :class:`DeliveryRecords` a run's worth of them as
+numpy columns; :func:`summarize_flow` matches adversary estimates
+against them to produce a :class:`FlowMetrics`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.infotheory.mmse import mse_of_estimator
+from repro.net.packet import ColumnRows
 
-__all__ = ["PacketRecord", "LatencyStats", "FlowMetrics", "summarize_flow"]
+__all__ = [
+    "PacketRecord",
+    "DeliveryRecords",
+    "LatencyStats",
+    "FlowMetrics",
+    "summarize_flow",
+]
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,31 @@ class PacketRecord:
     @property
     def latency(self) -> float:
         """End-to-end delivery latency."""
+        return self.delivered_at - self.created_at
+
+
+class DeliveryRecords(ColumnRows):
+    """A run's ground truth in arrival order, one column per field.
+
+    The columnar form of a :class:`PacketRecord` sequence; the
+    ``preemptions`` column holds each record's
+    ``preemptions_experienced``.
+    """
+
+    row_type = PacketRecord
+    dtypes = {
+        "flow_id": np.int32,
+        "packet_id": np.int32,
+        "created_at": np.float64,
+        "delivered_at": np.float64,
+        "hop_count": np.int32,
+        "preemptions": np.int32,
+    }
+    __slots__ = tuple(dtypes)
+
+    @property
+    def latency(self) -> np.ndarray:
+        """End-to-end delivery latency of every record."""
         return self.delivered_at - self.created_at
 
 
@@ -99,27 +132,29 @@ def summarize_flow(
 
     ``records`` and ``estimates`` must be aligned (same packets, same
     order -- arrival order, matching how the adversary consumed the
-    observations) and non-empty, from a single flow.
+    observations) and non-empty, from a single flow.  ``records`` is
+    read as columns: pass a :class:`DeliveryRecords` (what a run's
+    ``records`` already is) to skip the conversion.
     """
-    if not records:
+    records = DeliveryRecords.of(records)
+    n_packets = len(records)
+    if not n_packets:
         raise ValueError("cannot summarize an empty flow")
-    if len(records) != len(estimates):
-        raise ValueError(
-            f"{len(records)} records but {len(estimates)} estimates"
-        )
-    flow_ids = {record.flow_id for record in records}
-    if len(flow_ids) != 1:
-        raise ValueError(f"records span multiple flows: {sorted(flow_ids)}")
-    truths = [record.created_at for record in records]
+    if n_packets != len(estimates):
+        raise ValueError(f"{n_packets} records but {len(estimates)} estimates")
+    flow_ids = np.unique(records.flow_id)
+    if flow_ids.size != 1:
+        raise ValueError(f"records span multiple flows: {flow_ids.tolist()}")
+    truths = records.created_at
     mse = mse_of_estimator(truths, estimates)
-    errors = np.asarray(estimates, dtype=float) - np.asarray(truths, dtype=float)
-    latency = LatencyStats.from_samples([record.latency for record in records])
-    preempted = sum(1 for r in records if r.preemptions_experienced > 0)
+    errors = np.asarray(estimates, dtype=float) - truths
+    latency = LatencyStats.from_samples(records.latency)
+    preempted = int(np.count_nonzero(records.preemptions > 0))
     return FlowMetrics(
-        flow_id=records[0].flow_id,
-        n_packets=len(records),
+        flow_id=int(flow_ids[0]),
+        n_packets=n_packets,
         mse=mse,
         mean_error=float(errors.mean()),
         latency=latency,
-        preemption_fraction=preempted / len(records),
+        preemption_fraction=preempted / n_packets,
     )

@@ -144,7 +144,7 @@ def asset_tracking_experiment(
 
             estimator.reset()
             time_estimates = estimator.estimate_all(result.observations)
-            truths = np.array([r.created_at for r in result.records])
+            truths = result.records.created_at
             time_rmse = float(
                 np.sqrt(np.mean((np.array(time_estimates) - truths) ** 2))
             )

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Literal
 
+import numpy as np
+
 from repro.core.adversary import (
     AdaptiveAdversary,
     Adversary,
@@ -124,9 +126,7 @@ def score_flow(
     """
     adversary.reset()
     estimates = adversary.estimate_all(result.observations)
-    indices = result.flow_indices(flow_id)
-    if not indices:
+    in_flow = result.records.flow_id == flow_id
+    if not in_flow.any():
         raise ValueError(f"no delivered packets for flow {flow_id}")
-    flow_estimates = [estimates[i] for i in indices]
-    flow_records = [result.records[i] for i in indices]
-    return summarize_flow(flow_records, flow_estimates)
+    return summarize_flow(result.records[in_flow], np.asarray(estimates)[in_flow])

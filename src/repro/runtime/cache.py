@@ -6,13 +6,18 @@ stable fingerprint of ``(format version, code salt, SimulationConfig)``
 -- see :mod:`repro.runtime.fingerprint`.  Because the configuration
 includes the seed and the salt covers the simulator's source, a hit is
 guaranteed to be the byte-identical result the simulator would have
-produced.  On disk every entry is framed as ``magic || sha256(payload)
-|| payload`` so bit rot and truncation are detected by checksum before
-any unpickling happens.
+produced.  The result's delivery log pickles as its numpy columns (no
+per-packet objects), so an entry loads in a few array copies.  On disk
+every entry is framed as ``magic || sha256(payload) || payload`` so bit
+rot and truncation are detected by checksum before any unpickling
+happens.
 
-Failure policy: a corrupted or truncated entry is *a miss, not a
-crash* -- it is counted, moved into ``<dir>/quarantine/`` (preserved
-for inspection, never silently destroyed) and recomputed.  Writes go
+Failure policy: a corrupted, truncated or wrong-shaped entry is *a
+miss, not a crash* -- it is counted, moved into ``<dir>/quarantine/``
+(preserved for inspection, never silently destroyed) and recomputed.
+An entry has the right shape when its ``elapsed`` is a finite float
+and its result is a :class:`~repro.sim.results.SimulationResult` whose
+delivery columns are numpy arrays of one common length.  Writes go
 through a temp file plus :func:`os.replace` so a killed process can
 never leave a half-written entry behind that parses.
 
@@ -26,6 +31,7 @@ ones), :meth:`ResultCache.purge` and :meth:`ResultCache.prune`
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import time
@@ -73,6 +79,32 @@ def _unframe_payload(blob: bytes) -> bytes | None:
     return payload
 
 
+def _read_entry_file(path: Path) -> bytes:
+    """An entry file's bytes; an unreadable file reads as empty (corrupt)."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        return b""
+
+
+def _decode_entry(blob: bytes) -> "tuple[float, SimulationResult] | None":
+    """The checksum-verified, well-shaped entry framed in ``blob``, or None."""
+    from repro.sim.results import SimulationResult
+
+    payload = _unframe_payload(blob)
+    if payload is None:
+        return None
+    try:
+        elapsed, result = pickle.loads(payload)
+    except Exception:
+        return None
+    if not isinstance(elapsed, float) or not math.isfinite(elapsed):
+        return None
+    if not isinstance(result, SimulationResult) or result.delivery_log_error():
+        return None
+    return elapsed, result
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro/results``."""
     override = os.environ.get("REPRO_CACHE_DIR")
@@ -83,7 +115,7 @@ def default_cache_dir() -> Path:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/elapsed counters for one cache (mergeable across workers)."""
+    """Hit/miss/elapsed/byte counters for one cache (mergeable across workers)."""
 
     hits: int = 0
     misses: int = 0
@@ -91,6 +123,10 @@ class CacheStats:
     corrupt: int = 0
     seconds_saved: float = 0.0
     seconds_computed: float = 0.0
+    bytes_read: int = 0
+    """Entry-file bytes :meth:`ResultCache.get` read (hits and corrupt entries)."""
+    bytes_written: int = 0
+    """Entry-file bytes :meth:`ResultCache.put` wrote, framing included."""
 
     def snapshot(self) -> "CacheStats":
         """An independent copy (for before/after deltas in workers)."""
@@ -105,6 +141,8 @@ class CacheStats:
             corrupt=self.corrupt - before.corrupt,
             seconds_saved=self.seconds_saved - before.seconds_saved,
             seconds_computed=self.seconds_computed - before.seconds_computed,
+            bytes_read=self.bytes_read - before.bytes_read,
+            bytes_written=self.bytes_written - before.bytes_written,
         )
 
     def merge(self, delta: "CacheStats") -> None:
@@ -115,6 +153,8 @@ class CacheStats:
         self.corrupt += delta.corrupt
         self.seconds_saved += delta.seconds_saved
         self.seconds_computed += delta.seconds_computed
+        self.bytes_read += delta.bytes_read
+        self.bytes_written += delta.bytes_written
 
     def render(self) -> str:
         """One status line, the CLI's cache-stats output."""
@@ -122,7 +162,8 @@ class CacheStats:
             f"cache: {self.hits} hits, {self.misses} misses, "
             f"{self.stores} stored, {self.corrupt} corrupt; "
             f"{self.seconds_saved:.1f}s compute saved, "
-            f"{self.seconds_computed:.1f}s spent"
+            f"{self.seconds_computed:.1f}s spent; "
+            f"{self.bytes_read} bytes read, {self.bytes_written} bytes written"
         )
 
 
@@ -167,29 +208,21 @@ class ResultCache:
             except OSError:
                 pass
 
-    def _load_entry(self, path: Path) -> "tuple[float, SimulationResult] | None":
-        """Checksum-verify and unpickle one entry file, or None if bad."""
-        try:
-            payload = _unframe_payload(path.read_bytes())
-            if payload is None:
-                return None
-            elapsed, result = pickle.loads(payload)
-            return float(elapsed), result
-        except Exception:
-            return None
-
     # ------------------------------------------------------------------
     def get(self, config: "SimulationConfig") -> "SimulationResult | None":
         """The stored result for ``config``, or None on a miss.
 
         A corrupted entry (bad checksum, unpicklable, wrong shape) is
-        quarantined and reported as a miss, never raised.
+        quarantined and reported as a miss, never raised.  Every byte
+        read counts towards ``stats.bytes_read``.
         """
         path = self._path_for(self.key_for(config))
         if not path.is_file():
             self.stats.misses += 1
             return None
-        entry = self._load_entry(path)
+        blob = _read_entry_file(path)
+        self.stats.bytes_read += len(blob)
+        entry = _decode_entry(blob)
         if entry is None:
             self.stats.corrupt += 1
             self.stats.misses += 1
@@ -211,8 +244,10 @@ class ResultCache:
         # shared-cache-dir mode) may race on the same key, but every one
         # of them writes the identical byte-for-byte payload, so
         # last-replace-wins is harmless.
-        atomic_write(self._path_for(self.key_for(config)), _frame_payload(payload))
+        framed = _frame_payload(payload)
+        atomic_write(self._path_for(self.key_for(config)), framed)
         self.stats.stores += 1
+        self.stats.bytes_written += len(framed)
         self.stats.seconds_computed += elapsed
 
     # ------------------------------------------------------------------
@@ -265,14 +300,15 @@ class ResultCache:
         return removed
 
     def verify(self) -> "CacheVerifyReport":
-        """Checksum-and-unpickle every entry, quarantining the bad ones.
+        """Checksum, unpickle and shape-check every entry, quarantining the bad ones.
 
         Also sweeps stale writer temp files (see :meth:`sweep_stale_tmp`).
         """
         report = CacheVerifyReport()
         for path in list(self.iter_entry_paths()):
             report.checked += 1
-            if self._load_entry(path) is None:
+            blob = _read_entry_file(path)
+            if _decode_entry(blob) is None:
                 report.quarantined.append(path.name)
                 self._quarantine(path)
         report.stale_tmp_removed = self.sweep_stale_tmp()

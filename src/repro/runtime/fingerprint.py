@@ -33,7 +33,8 @@ __all__ = ["stable_fingerprint", "code_salt", "CACHE_FORMAT_VERSION"]
 #: Bump to invalidate every existing cache entry (format changes).
 #: v2: entries framed as ``magic || sha256(payload) || payload`` so
 #: corruption is caught by checksum before unpickling.
-CACHE_FORMAT_VERSION = 2
+#: v3: the result's delivery log is stored as numpy columns.
+CACHE_FORMAT_VERSION = 3
 
 #: Subpackages whose source participates in the code-version salt --
 #: everything that can change what a simulation produces.  Analysis,

@@ -132,11 +132,8 @@ def _score(compiled: CompiledScenario, result) -> tuple[float, float, float]:
     # Score over *all* flows jointly (summarize_flow is single-flow):
     # the scenario-level privacy figure is the adversary's MSE over
     # every delivered packet in the network.
-    truths = [record.created_at for record in result.records]
-    mse = mse_of_estimator(truths, list(estimates))
-    latency = LatencyStats.from_samples(
-        [record.latency for record in result.records]
-    )
+    mse = mse_of_estimator(result.records.created_at, estimates)
+    latency = LatencyStats.from_samples(result.records.latency)
     return mse, latency.mean, latency.p95
 
 

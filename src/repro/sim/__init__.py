@@ -13,7 +13,7 @@ Typical use::
 
     config = SimulationConfig.paper_baseline(interarrival=2.0)
     result = SensorNetworkSimulator(config).run()
-    print(result.flow_records(flow_id=1)[:3])
+    print(list(result.flow_records(flow_id=1))[:3])
 """
 
 from repro.sim.config import BufferSpec, FlowSpec, SimulationConfig

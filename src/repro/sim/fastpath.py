@@ -59,9 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.metrics import PacketRecord
 from repro.core.victim import ShortestRemainingDelay
-from repro.net.packet import PacketObservation
 from repro.sim.results import DroppedPacket, NodeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -188,52 +186,42 @@ def _deliver_all(
     prevhop_of_flow: np.ndarray,
     preemptions: np.ndarray | None,
 ) -> None:
-    """Append observations/records (and latency telemetry) in sink order."""
-    result = sim._result
-    observations = result.observations
-    records = result.records
-    flow_ids = [flow.flow_id for flow in sim.config.flows]
+    """Store the delivery log (and latency telemetry) in sink order."""
+    flow_ids = np.array([flow.flow_id for flow in sim.config.flows], dtype=np.int64)
+    origin_of_flow = np.array(
+        [flow.source for flow in sim.config.flows], dtype=np.int64
+    )
+    f = flow_of[pkts]
+    sim._result.set_deliveries(
+        arrival_time=times,
+        previous_hop=prevhop_of_flow[f],
+        origin=origin_of_flow[f],
+        routing_seq=routing_seq[pkts],
+        hop_count=hops_of_flow[f],
+        flow_id=flow_ids[f],
+        packet_id=packet_id[pkts],
+        created_at=created[pkts],
+        delivered_at=times,
+        preemptions=(
+            preemptions[pkts] if preemptions is not None else np.zeros(len(pkts), np.int32)
+        ),
+    )
+    sim._counters.delivered = len(times)
     telemetry = sim.telemetry
-    if telemetry is not None and len(times):
-        telemetry.registry.counter("sim/delivered").inc(len(times))
-        # Histograms come into existence at a flow's first delivery, so
-        # a flow that never delivers must not appear in the snapshot.
-        histograms: list = [None] * len(flow_ids)
-    else:
-        histograms = None
-    time_list = times.tolist()
-    pkt_list = pkts.tolist()
-    for now, p in zip(time_list, pkt_list):
+    if telemetry is None or not len(times):
+        return
+    telemetry.registry.counter("sim/delivered").inc(len(times))
+    # Histograms come into existence at a flow's first delivery, so a
+    # flow that never delivers must not appear in the snapshot.
+    histograms: list = [None] * len(flow_ids)
+    for now, p in zip(times.tolist(), pkts.tolist()):
         f = flow_of[p]
-        if histograms is not None:
-            hist = histograms[f]
-            if hist is None:
-                hist = histograms[f] = telemetry.registry.histogram(
-                    f"latency/flow-{flow_ids[f]}"
-                )
-            hist.observe(now - created[p])
-        observations.append(
-            PacketObservation(
-                arrival_time=now,
-                previous_hop=int(prevhop_of_flow[f]),
-                origin=int(sim.config.flows[f].source),
-                routing_seq=int(routing_seq[p]),
-                hop_count=int(hops_of_flow[f]),
+        hist = histograms[f]
+        if hist is None:
+            hist = histograms[f] = telemetry.registry.histogram(
+                f"latency/flow-{flow_ids[f]}"
             )
-        )
-        records.append(
-            PacketRecord(
-                flow_id=flow_ids[f],
-                packet_id=int(packet_id[p]),
-                created_at=float(created[p]),
-                delivered_at=now,
-                hop_count=int(hops_of_flow[f]),
-                preemptions_experienced=(
-                    int(preemptions[p]) if preemptions is not None else 0
-                ),
-            )
-        )
-    sim._counters.delivered = len(time_list)
+        hist.observe(now - created[p])
 
 
 def _finalize_fast(

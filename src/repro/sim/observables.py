@@ -49,21 +49,8 @@ __all__ = ["observable_view", "observable_digest", "reference_configs"]
 def observable_view(result: "SimulationResult") -> dict:
     """Canonical, order-preserving view of everything a run produced."""
     view: dict = {
-        "observations": [
-            (o.arrival_time, o.previous_hop, o.origin, o.routing_seq, o.hop_count)
-            for o in result.observations
-        ],
-        "records": [
-            (
-                r.flow_id,
-                r.packet_id,
-                r.created_at,
-                r.delivered_at,
-                r.hop_count,
-                r.preemptions_experienced,
-            )
-            for r in result.records
-        ],
+        "observations": _rows(result.observations),
+        "records": _rows(result.records),
         "node_stats": {
             node: (
                 stats.admitted,
@@ -94,6 +81,11 @@ def observable_view(result: "SimulationResult") -> dict:
     if result.telemetry is not None:
         view["telemetry"] = _telemetry_view(result.telemetry)
     return view
+
+
+def _rows(view) -> list[tuple]:
+    """A columnar view's rows as plain tuples of Python scalars."""
+    return list(zip(*(column.tolist() for column in view.columns().values())))
 
 
 def _telemetry_view(telemetry: "RunTelemetry") -> dict:

@@ -5,14 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.metrics import PacketRecord
-from repro.net.packet import PacketObservation
+import numpy as np
+
+from repro.core.metrics import DeliveryRecords
+from repro.net.packet import SinkTap
 from repro.sim.tracing import PacketTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import RunTelemetry
 
-__all__ = ["NodeStats", "DroppedPacket", "SimulationResult"]
+__all__ = ["DELIVERY_COLUMNS", "NodeStats", "DroppedPacket", "SimulationResult"]
+
+#: The delivery log's ten columns: the adversary tap's, then the ground
+#: truth's (``hop_count`` belongs to both and is stored once).
+DELIVERY_COLUMNS = tuple({**SinkTap.dtypes, **DeliveryRecords.dtypes})
 
 
 @dataclass(slots=True)
@@ -55,15 +61,20 @@ class DroppedPacket:
 class SimulationResult:
     """Everything a run produced.
 
-    ``observations`` and ``records`` are aligned index-by-index and
-    sorted by arrival time: ``observations[i]`` is the adversary's view
-    of the packet whose ground truth is ``records[i]``.  Keeping both
-    in the interleaved arrival order preserves exactly what a stateful
-    (adaptive) adversary gets to see.
+    The delivery log is columnar: ``observations`` (a
+    :class:`~repro.net.packet.SinkTap`) and ``records`` (a
+    :class:`~repro.core.metrics.DeliveryRecords`) are read-only views
+    holding one numpy array per field, and they share one
+    ``hop_count`` column.  They are aligned index-by-index and sorted
+    by arrival time: ``observations[i]`` is the adversary's view of the
+    packet whose ground truth is ``records[i]``.  Keeping both in the
+    interleaved arrival order preserves exactly what a stateful
+    (adaptive) adversary gets to see.  Iterating either view builds its
+    row objects once; :meth:`set_deliveries` is how a run stores them.
     """
 
-    observations: list[PacketObservation] = field(default_factory=list)
-    records: list[PacketRecord] = field(default_factory=list)
+    observations: SinkTap = field(default_factory=SinkTap)
+    records: DeliveryRecords = field(default_factory=DeliveryRecords)
     node_stats: dict[int, NodeStats] = field(default_factory=dict)
     dropped: list[DroppedPacket] = field(default_factory=list)
     transmissions: list[tuple[float, int, int]] = field(default_factory=list)
@@ -100,29 +111,62 @@ class SimulationResult:
     simulated time, so it caches and pickles with the result."""
 
     # ------------------------------------------------------------------
+    def set_deliveries(self, **columns: object) -> None:
+        """Store the delivery log: the :data:`DELIVERY_COLUMNS`, aligned
+        and in arrival order, split into the two views."""
+        if set(columns) != set(DELIVERY_COLUMNS):
+            raise TypeError(
+                f"need exactly the columns {DELIVERY_COLUMNS}, got {tuple(columns)}"
+            )
+        self.observations = SinkTap(**{name: columns[name] for name in SinkTap.dtypes})
+        columns["hop_count"] = self.observations.hop_count  # stored once, shared
+        self.records = DeliveryRecords(
+            **{name: columns[name] for name in DeliveryRecords.dtypes}
+        )
+
+    def delivery_log_error(self) -> str | None:
+        """What is wrong with the delivery log's shape, or None if sound.
+
+        Sound means both views are columnar and every column has one
+        common length (a misaligned tap would mis-score every adversary).
+        """
+        tap, truth = self.observations, self.records
+        if not isinstance(tap, SinkTap) or not isinstance(truth, DeliveryRecords):
+            return (
+                "delivery log is not columnar: "
+                f"{type(tap).__name__} observations, {type(truth).__name__} records"
+            )
+        lengths = {
+            len(column) for view in (tap, truth) for column in view.columns().values()
+        }
+        if len(lengths) > 1:
+            return (
+                f"adversary tap has {len(tap)} observations but ground truth has "
+                f"{len(truth)} records (column lengths {sorted(lengths)})"
+            )
+        return None
+
     def flow_ids(self) -> list[int]:
         """Distinct flow ids present in the delivery log."""
-        return sorted({record.flow_id for record in self.records})
+        return np.unique(self.records.flow_id).tolist()
 
     def flow_indices(self, flow_id: int) -> list[int]:
         """Positions of one flow's packets within the arrival order."""
-        return [i for i, record in enumerate(self.records) if record.flow_id == flow_id]
+        return np.flatnonzero(self.records.flow_id == flow_id).tolist()
 
-    def flow_records(self, flow_id: int) -> list[PacketRecord]:
+    def flow_records(self, flow_id: int) -> DeliveryRecords:
         """One flow's delivered packets, in arrival order."""
-        return [r for r in self.records if r.flow_id == flow_id]
+        return self.records[self.records.flow_id == flow_id]
 
-    def flow_observations(self, flow_id: int) -> list[PacketObservation]:
+    def flow_observations(self, flow_id: int) -> SinkTap:
         """One flow's observations, in arrival order."""
-        return [
-            self.observations[i] for i in self.flow_indices(flow_id)
-        ]
+        return self.observations[self.records.flow_id == flow_id]
 
     def delivered_count(self, flow_id: int | None = None) -> int:
         """Packets delivered (optionally restricted to one flow)."""
         if flow_id is None:
             return len(self.records)
-        return len(self.flow_records(flow_id))
+        return int(np.count_nonzero(self.records.flow_id == flow_id))
 
     def drop_count(self, flow_id: int | None = None) -> int:
         """Packets dropped (optionally restricted to one flow)."""
@@ -153,6 +197,8 @@ class SimulationResult:
     def mean_latency(self, flow_id: int | None = None) -> float:
         """Average end-to-end latency, over all or one flow's packets."""
         records = self.records if flow_id is None else self.flow_records(flow_id)
-        if not records:
+        if not len(records):
             raise ValueError(f"no delivered packets for flow {flow_id!r}")
-        return float(sum(r.latency for r in records) / len(records))
+        # Python's sequential sum, not numpy's pairwise one: the mean
+        # must not depend on how the log is stored.
+        return float(sum(records.latency.tolist()) / len(records))

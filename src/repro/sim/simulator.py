@@ -42,7 +42,6 @@ from repro.core.buffers import (
     PacketBuffer,
     RcadBuffer,
 )
-from repro.core.metrics import PacketRecord
 from repro.core.privacy_core import CoreAction, TemporalPrivacyCore
 from repro.crypto.keys import KeyManager
 from repro.crypto.payload import PayloadCodec, SensorReading
@@ -54,7 +53,12 @@ from repro.net.link import ConstantDelayLink, LossyLink
 from repro.net.packet import Packet, RoutingHeader
 from repro.net.routing import backup_parents
 from repro.sim.config import SimulationConfig
-from repro.sim.results import DroppedPacket, NodeStats, SimulationResult
+from repro.sim.results import (
+    DELIVERY_COLUMNS,
+    DroppedPacket,
+    NodeStats,
+    SimulationResult,
+)
 from repro.telemetry import RunTelemetry
 
 __all__ = ["SensorNetworkSimulator"]
@@ -128,6 +132,8 @@ class SensorNetworkSimulator:
         self._sim = Simulator()
         self._rng = RngRegistry(config.seed)
         self._result = SimulationResult()
+        # The delivery log, one list per column until _finalize.
+        self._deliveries: dict[str, list] = {name: [] for name in DELIVERY_COLUMNS}
         self._nodes: dict[int, _NodeState] = {}
         self._codec = (
             PayloadCodec(KeyManager(_MASTER_KEY)) if config.seal_payloads else None
@@ -688,17 +694,18 @@ class SensorNetworkSimulator:
                 f"latency/flow-{packet.flow_id}"
             ).observe(now - packet.created_at)
         self._trace(transit, "delivered", self.config.deployment.sink)
-        self._result.observations.append(packet.observe(arrival_time=now))
-        self._result.records.append(
-            PacketRecord(
-                flow_id=packet.flow_id,
-                packet_id=packet.packet_id,
-                created_at=packet.created_at,
-                delivered_at=now,
-                hop_count=packet.header.hop_count,
-                preemptions_experienced=transit.preemptions,
-            )
-        )
+        header = packet.header
+        log = self._deliveries
+        log["arrival_time"].append(now)
+        log["previous_hop"].append(header.previous_hop)
+        log["origin"].append(header.origin)
+        log["routing_seq"].append(header.routing_seq)
+        log["hop_count"].append(header.hop_count)
+        log["flow_id"].append(packet.flow_id)
+        log["packet_id"].append(packet.packet_id)
+        log["created_at"].append(packet.created_at)
+        log["delivered_at"].append(now)
+        log["preemptions"].append(transit.preemptions)
 
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
@@ -714,6 +721,7 @@ class SensorNetworkSimulator:
             if state.buffer.occupancy > 0:
                 self._counters.stranded_in_buffer += state.buffer.occupancy
                 self._counters.stranding_nodes.add(node)
+        self._result.set_deliveries(**self._deliveries)
         self._result.lost_in_transit = self.lost_in_transit
         self._result.stranded_in_buffer = self._counters.stranded_in_buffer
         self._result.end_time = end

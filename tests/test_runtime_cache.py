@@ -74,6 +74,57 @@ class TestResultCache:
         assert cache.get(config) is None
         assert cache.stats.corrupt == 1
 
+    @staticmethod
+    def _misaligned_result():
+        result = SensorNetworkSimulator(_config()).run()
+        columns = {
+            **result.observations.columns(), **result.records.columns()
+        }
+        columns["created_at"] = columns["created_at"][:-1]
+        result.set_deliveries(**columns)
+        return result
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (1.0, {"not": "a result"}),
+            (float("nan"), None),
+            (float("inf"), None),
+            ("1.0", None),
+            (1.0, "misaligned"),
+            (1.0, "object-log"),
+        ],
+        ids=["dict", "nan-elapsed", "inf-elapsed", "str-elapsed", "misaligned", "object-log"],
+    )
+    def test_framed_wrong_shape_entry_is_quarantined(self, tmp_path, entry):
+        """A well-framed entry that is not a (finite float, columnar result)
+        pair is corrupt: quarantined by get and by verify, never served."""
+        from repro.runtime.cache import _frame_payload
+        from repro.runtime.journal import atomic_write
+
+        config = _config()
+        elapsed, result = entry
+        if result is None:
+            result = SensorNetworkSimulator(config).run()
+        elif result == "misaligned":
+            result = self._misaligned_result()
+        elif result == "object-log":
+            result = SensorNetworkSimulator(config).run()
+            result.records = list(result.records)
+        for check in ("get", "verify"):
+            cache = ResultCache(tmp_path / check)
+            path = cache._path_for(cache.key_for(config))
+            atomic_write(path, _frame_payload(pickle.dumps((elapsed, result))))
+            if check == "get":
+                assert cache.get(config) is None
+                assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+                assert cache.stats.corrupt == 1
+            else:
+                report = cache.verify()
+                assert (report.ok, report.quarantined) == (0, [path.name])
+            assert not path.exists()
+            assert (cache.quarantine_dir / path.name).exists()
+
     def test_bit_flip_is_caught_by_checksum(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = _config()
@@ -86,6 +137,43 @@ class TestResultCache:
         assert cache.get(config) is None
         assert cache.stats.corrupt == 1
         assert (cache.quarantine_dir / path.name).exists()
+
+
+class TestCacheByteCounters:
+    def test_bytes_written_and_read_match_the_entry_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        config = _config()
+        cache.put(config, SensorNetworkSimulator(config).run(), elapsed=0.1)
+        size = cache._path_for(cache.key_for(config)).stat().st_size
+        assert cache.stats.bytes_written == size
+        assert cache.stats.bytes_read == 0
+        assert cache.get(config) is not None
+        assert cache.get(_config(seed=5)) is None  # a miss reads nothing
+        assert cache.stats.bytes_read == size
+
+    def test_corrupt_reads_count_their_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        config = _config()
+        path = cache._path_for(cache.key_for(config))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"garbage")
+        assert cache.get(config) is None
+        assert cache.stats.bytes_read == len(b"garbage")
+
+    def test_bytes_survive_snapshot_delta_and_merge(self):
+        from repro.runtime import CacheStats
+
+        worker = CacheStats(hits=1, bytes_read=100, bytes_written=7)
+        before = worker.snapshot()
+        worker.bytes_read += 50
+        worker.bytes_written += 20
+        delta = worker.delta_since(before)
+        assert (delta.bytes_read, delta.bytes_written) == (50, 20)
+        parent = CacheStats(bytes_read=1, bytes_written=2)
+        parent.merge(delta)
+        assert (parent.bytes_read, parent.bytes_written) == (51, 22)
+        assert parent.render().endswith("; 51 bytes read, 22 bytes written")
+        assert "cache: 0 hits, 0 misses, 0 stored" in parent.render()
 
 
 class TestCacheMaintenance:
@@ -319,6 +407,24 @@ class TestCliCacheIntegration:
             ]
 
         assert strip(cold) == strip(warm)
+
+    def test_forked_workers_report_their_cache_bytes(self, tmp_path, capsys):
+        """Workers' byte counters reach the parent's cache line: a warm
+        rerun reads back exactly the bytes the cold run wrote."""
+        import re
+
+        argv = [
+            "fig2", "--packets", "30", "--interarrivals", "2,20",
+            "--jobs", "2", "--cache-dir", str(tmp_path),
+        ]
+        pattern = re.compile(r"; (\d+) bytes read, (\d+) bytes written$", re.M)
+        assert main(argv) == 0
+        cold_read, cold_written = map(int, pattern.search(capsys.readouterr().out).groups())
+        assert main(argv) == 0
+        warm_read, warm_written = map(int, pattern.search(capsys.readouterr().out).groups())
+        on_disk = sum(path.stat().st_size for path in ResultCache(tmp_path).iter_entry_paths())
+        assert cold_read == 0 and warm_written == 0
+        assert cold_written == warm_read == on_disk > 0
 
     def test_no_cache_flag_bypasses_reads_and_writes(self, tmp_path, capsys):
         argv = [

@@ -1,29 +1,42 @@
 """Tests for the post-run invariant auditor."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.faults import ConservationCounters, InvariantAuditor, InvariantViolation
 from repro.sim.config import SimulationConfig
+from repro.sim.results import NodeStats, SimulationResult
 from repro.sim.simulator import SensorNetworkSimulator
 
 
-def _clean_result(end_time=100.0):
-    """A minimal duck-typed result that satisfies every clock check."""
-    return SimpleNamespace(
+def _deliveries(arrivals, n_records=None):
+    """Delivery-log columns for packets of flow 1 arriving at ``arrivals``;
+    ``n_records`` truncates the ground-truth columns (a misaligned log)."""
+    n = len(arrivals)
+    m = n if n_records is None else n_records
+    return dict(
+        arrival_time=arrivals,
+        previous_hop=[0] * n,
+        origin=[0] * n,
+        routing_seq=list(range(n)),
+        hop_count=[1] * n,
+        flow_id=[1] * m,
+        packet_id=list(range(m)),
+        created_at=[0.0] * m,
+        delivered_at=arrivals[:m],
+        preemptions=[0] * m,
+    )
+
+
+def _clean_result(end_time=100.0, arrivals=(1.0, 2.0, 2.0, 50.0), n_records=None):
+    """A minimal result that satisfies every clock check."""
+    result = SimulationResult(
         end_time=end_time,
-        observations=[
-            SimpleNamespace(arrival_time=t) for t in (1.0, 2.0, 2.0, 50.0)
-        ],
-        records=[
-            SimpleNamespace(flow_id=1, packet_id=i, delivered_at=t)
-            for i, t in enumerate((1.0, 2.0, 2.0, 50.0))
-        ],
         node_stats={
-            7: SimpleNamespace(observation_time=end_time, occupancy_time_integral=3.5)
+            7: NodeStats(node_id=7, observation_time=end_time, occupancy_time_integral=3.5)
         },
     )
+    result.set_deliveries(**_deliveries(list(arrivals), n_records))
+    return result
 
 
 def _balanced_counters(**overrides):
@@ -73,8 +86,7 @@ class TestConservationChecks:
 
 class TestClockChecks:
     def test_non_monotone_observations_detected(self):
-        result = _clean_result()
-        result.observations[2] = SimpleNamespace(arrival_time=1.5)
+        result = _clean_result(arrivals=(1.0, 2.0, 1.5, 50.0))
         violations = InvariantAuditor(_balanced_counters()).clock_violations(result)
         assert any("non-monotone" in v for v in violations)
 
@@ -95,11 +107,24 @@ class TestClockChecks:
         violations = InvariantAuditor(_balanced_counters()).clock_violations(result)
         assert any("after the run end" in v for v in violations)
 
+    def test_delivery_before_creation_detected(self):
+        result = _clean_result()
+        columns = _deliveries([1.0, 2.0, 2.0, 50.0])
+        columns["created_at"] = [0.0, 3.0, 0.0, 0.0]
+        result.set_deliveries(**columns)
+        violations = InvariantAuditor(_balanced_counters()).clock_violations(result)
+        assert any("before its creation" in v for v in violations)
+
+    def test_misaligned_log_skips_per_packet_clock_checks(self):
+        with pytest.raises(InvariantViolation) as excinfo:
+            InvariantAuditor(_balanced_counters()).audit(_clean_result(n_records=3))
+        assert len(excinfo.value.violations) == 1
+        assert "observations" in excinfo.value.violations[0]
+
 
 class TestAlignmentCheck:
     def test_tap_and_truth_must_align(self):
-        result = _clean_result()
-        result.records = result.records[:-1]
+        result = _clean_result(n_records=3)
         violations = InvariantAuditor(_balanced_counters()).alignment_violations(
             result
         )
