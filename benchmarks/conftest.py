@@ -60,8 +60,8 @@ def pytest_sessionfinish(session, exitstatus):
 
     Includes pytest-benchmark statistics (min/mean/stddev/rounds) when
     the plugin collected any, alongside the coarse call durations, so
-    serial-vs-parallel and vectorized-vs-scalar comparisons live in one
-    machine-readable artifact.
+    serial-vs-parallel comparisons live in one machine-readable
+    artifact.
     """
     if not _TIMINGS:
         return

@@ -3,16 +3,14 @@
 These are genuine pytest-benchmark measurements (many iterations) for
 the inner loops everything else is built on: the DES event loop, RCAD
 buffer admissions, the Speck block cipher, the Erlang-B recursion and
-the KSG mutual-information estimator -- plus vectorized-vs-scalar
-pairs for the adversary scoring kernels, so the speedup of the numpy
-batch paths (and their exact agreement with the scalar oracle) is
-measured where the optimization lives.
+the KSG mutual-information estimator -- plus the adversary scoring
+kernels' numpy batch paths.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.buffers import RcadBuffer
+from repro.core.privacy_core import TemporalPrivacyCore
 from repro.crypto.speck import Speck64_128
 from repro.des import Simulator
 from repro.experiments.common import build_adversary, run_paper_case
@@ -41,13 +39,13 @@ def test_des_event_throughput(benchmark):
 
 
 def test_rcad_buffer_admission_throughput(benchmark):
-    """5k offers against a k=10 RCAD buffer, all but 10 preempting."""
+    """5k offers against a k=10 RCAD core, all but 10 preempting."""
 
     def run():
-        buffer = RcadBuffer(capacity=10)
+        core = TemporalPrivacyCore("rcad", capacity=10)
         for i in range(5000):
-            buffer.offer(i, float(i), float(i) + 30.0)
-        return buffer.preemption_count
+            core.offer(i, float(i), delay=30.0)
+        return core.preemptions
 
     preemptions = benchmark(run)
     assert preemptions == 4990
@@ -88,9 +86,8 @@ def test_ksg_estimator_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Vectorized vs scalar adversary scoring.  One RCAD observation stream
-# is scored through the numpy batch path and the preserved scalar
-# oracle; BENCH_runtime.json records both timings side by side.
+# Adversary scoring: one RCAD observation stream through the numpy
+# batch path.
 
 @pytest.fixture(scope="module")
 def rcad_observations():
@@ -105,18 +102,6 @@ def test_adversary_estimate_all_vectorized(benchmark, rcad_observations, kind):
     def run():
         adversary.reset()
         return adversary.estimate_all(rcad_observations)
-
-    estimates = benchmark(run)
-    assert len(estimates) == len(rcad_observations)
-
-
-@pytest.mark.parametrize("kind", ["naive", "baseline", "adaptive"])
-def test_adversary_estimate_all_scalar(benchmark, rcad_observations, kind):
-    adversary = build_adversary(kind, "rcad")
-
-    def run():
-        adversary.reset()
-        return adversary.estimate_all_scalar(rcad_observations)
 
     estimates = benchmark(run)
     assert len(estimates) == len(rcad_observations)

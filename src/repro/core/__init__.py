@@ -3,9 +3,13 @@
 * :mod:`repro.core.delays` -- the artificial delay distributions nodes
   draw from (exponential is the paper's max-entropy choice; uniform,
   constant and Erlang are the comparators),
-* :mod:`repro.core.buffers` -- buffer disciplines: infinite (the
-  M/M/infinity idealization), drop-tail (M/M/k/k) and **RCAD**'s
-  preemptive buffer,
+* :mod:`repro.core.privacy_core` -- :class:`TemporalPrivacyCore`, the
+  one clock-agnostic state machine for the paper's mechanism: it
+  samples each packet's delay and applies the buffer discipline,
+  infinite (the M/M/infinity idealization), drop-tail (M/M/k/k) or
+  **RCAD**'s preemptive buffer.  The event engine and the streaming
+  service both drive it; the fast path's batch loop is pinned to it by
+  a differential test,
 * :mod:`repro.core.victim` -- victim-selection policies for RCAD
   preemption (the paper picks shortest-remaining-delay; the others are
   ablations),
@@ -15,10 +19,7 @@
 * :mod:`repro.core.metrics` -- the paper's privacy (MSE) and
   performance (latency) metrics,
 * :mod:`repro.core.planner` -- per-node delay-parameter planners:
-  uniform, sink-weighted (Section 3.3) and Erlang-target (Section 4),
-* :mod:`repro.core.privacy_core` -- the clock-agnostic
-  :class:`TemporalPrivacyCore` state machine that both the DES
-  simulator and the streaming service drive.
+  uniform, sink-weighted (Section 3.3) and Erlang-target (Section 4).
 """
 
 from repro.core.adversary import (
@@ -31,14 +32,6 @@ from repro.core.adversary import (
     PathAwareAdaptiveAdversary,
 )
 from repro.core.bayes import EmpiricalBayesAdversary, erlang_path_delay_pdf
-from repro.core.buffers import (
-    AdmissionOutcome,
-    BufferedEntry,
-    DropTailBuffer,
-    InfiniteBuffer,
-    PacketBuffer,
-    RcadBuffer,
-)
 from repro.core.delays import (
     ConstantDelay,
     DelayDistribution,
@@ -59,7 +52,12 @@ from repro.core.planner import (
     SinkWeightedPlanner,
     UniformPlanner,
 )
-from repro.core.privacy_core import CoreAction, CoreDecision, TemporalPrivacyCore
+from repro.core.privacy_core import (
+    Admission,
+    AdmissionOutcome,
+    BufferedEntry,
+    TemporalPrivacyCore,
+)
 from repro.core.victim import (
     LongestRemainingDelay,
     NewestArrival,
@@ -76,12 +74,10 @@ __all__ = [
     "ConstantDelay",
     "ErlangDelay",
     "ParetoDelay",
-    "PacketBuffer",
-    "InfiniteBuffer",
-    "DropTailBuffer",
-    "RcadBuffer",
-    "BufferedEntry",
+    "TemporalPrivacyCore",
+    "Admission",
     "AdmissionOutcome",
+    "BufferedEntry",
     "VictimPolicy",
     "ShortestRemainingDelay",
     "LongestRemainingDelay",
@@ -108,7 +104,4 @@ __all__ = [
     "VarianceOptimalPlanner",
     "OptimizedAllocation",
     "optimize_path_delays",
-    "CoreAction",
-    "CoreDecision",
-    "TemporalPrivacyCore",
 ]

@@ -89,9 +89,19 @@ class Adversary(abc.ABC):
     def __init__(self, knowledge: FlowKnowledge) -> None:
         self.knowledge = knowledge
 
-    @abc.abstractmethod
     def estimate(self, observation: PacketObservation) -> float:
-        """Estimated creation time x_hat for one observed packet."""
+        """Estimated creation time x_hat for one observed packet.
+
+        Runs the batch kernel on a one-observation stream, so stateful
+        adversaries advance exactly as :meth:`estimate_all` would.
+        Adversaries without a kernel override this method.
+        """
+        estimates = self._estimate_batch(
+            np.array([observation.arrival_time], dtype=np.float64),
+            np.array([observation.hop_count], dtype=np.float64),
+            np.array([observation.origin], dtype=np.int64),
+        )
+        return float(estimates[0])
 
     def estimate_all(self, observations: Sequence[PacketObservation]) -> list[float]:
         """Estimate a whole arrival sequence (must be in arrival order).
@@ -100,12 +110,9 @@ class Adversary(abc.ABC):
         already is a :class:`~repro.net.packet.SinkTap`, and any other
         sequence is converted to one.  Dispatches to the adversary's
         numpy batch kernel (:meth:`_estimate_batch`) when one exists;
-        adversaries without one fall back to the per-observation scalar
-        loop.  The kernels perform the same IEEE-754 operations in the
-        same per-element order as :meth:`estimate`, so both paths
-        produce identical estimates -- :meth:`estimate_all_scalar` is
-        kept as the explicit oracle the equivalence tests compare
-        against.
+        adversaries without one fall back to their per-observation
+        :meth:`estimate`.  The per-observation formulas the kernels
+        must reproduce live in the test suite as the oracle.
         """
         tap = SinkTap.of(observations)
         if not len(tap):
@@ -118,22 +125,6 @@ class Adversary(abc.ABC):
         if batch is None:
             return [self.estimate(observation) for observation in tap]
         return batch.tolist()
-
-    def estimate_all_scalar(
-        self, observations: list[PacketObservation]
-    ) -> list[float]:
-        """The original per-observation loop (oracle for the batch path)."""
-        previous = -float("inf")
-        estimates = []
-        for observation in observations:
-            if observation.arrival_time < previous:
-                raise ValueError(
-                    "observations must be supplied in arrival order; "
-                    f"{observation.arrival_time:g} after {previous:g}"
-                )
-            previous = observation.arrival_time
-            estimates.append(self.estimate(observation))
-        return estimates
 
     @staticmethod
     def _check_arrival_order(arrivals: np.ndarray) -> None:
@@ -152,8 +143,8 @@ class Adversary(abc.ABC):
         """Batch estimates for a validated arrival sequence, or None.
 
         Subclasses with a vectorized kernel override this; returning
-        None selects the scalar fallback.  Stateful adversaries must
-        leave themselves in the same state the scalar loop would.
+        None selects the per-observation fallback.  Stateful
+        adversaries carry their state from one call to the next.
         """
         return None
 
@@ -168,11 +159,6 @@ class NaiveAdversary(Adversary):
     point showing an undefended network leaks creation times perfectly.
     """
 
-    def estimate(self, observation: PacketObservation) -> float:
-        return observation.arrival_time - (
-            observation.hop_count * self.knowledge.transmission_delay
-        )
-
     def _estimate_batch(self, arrivals, hops, origins):
         return arrivals - hops * self.knowledge.transmission_delay
 
@@ -185,12 +171,6 @@ class BaselineAdversary(Adversary):
     *original* delay distribution even when RCAD preemption has
     shortened the real delays -- the blind spot Figure 2(a) exposes.
     """
-
-    def estimate(self, observation: PacketObservation) -> float:
-        per_hop = (
-            self.knowledge.transmission_delay + self.knowledge.mean_delay_per_hop
-        )
-        return observation.arrival_time - observation.hop_count * per_hop
 
     def _estimate_batch(self, arrivals, hops, origins):
         per_hop = (
@@ -289,38 +269,13 @@ class AdaptiveAdversary(Adversary):
         return probability is not None and probability > self.preemption_threshold
 
     # ------------------------------------------------------------------
-    def estimate(self, observation: PacketObservation) -> float:
-        self._record(observation)
-        per_hop_extra = self._per_hop_extra_delay()
-        per_hop = self.knowledge.transmission_delay + per_hop_extra
-        return observation.arrival_time - observation.hop_count * per_hop
-
-    def _record(self, observation: PacketObservation) -> None:
-        if self._first_arrival is None:
-            self._first_arrival = observation.arrival_time
-        self._last_arrival = observation.arrival_time
-        self._arrival_count += 1
-
-    def _per_hop_extra_delay(self) -> float:
-        if not self.in_preemption_regime():
-            return self.knowledge.mean_delay_per_hop
-        rate = self.observed_rate
-        assert rate is not None  # in_preemption_regime implies a rate estimate
-        capacity = self.knowledge.buffer_capacity
-        assert capacity is not None  # enforced in __init__
-        saturation_delay = self.knowledge.n_sources * capacity / rate
-        if self.clamp_to_advertised:
-            return min(saturation_delay, self.knowledge.mean_delay_per_hop)
-        return saturation_delay
-
     def _estimate_batch(self, arrivals, hops, origins):
-        """Closed form of the scalar loop's running state.
+        """Estimates for a stream, recording it as observed traffic.
 
         After observation ``i`` of the batch the arrival count is
         ``prior + i + 1`` and the rate window is ``[first, z_i]``, where
-        ``prior``/``first`` carry over from any scalar :meth:`estimate`
-        calls made before the batch, so mixing the two paths stays
-        exact.
+        ``prior``/``first`` carry over from earlier calls, so feeding a
+        stream in pieces gives the same estimates as feeding it whole.
         """
         knowledge = self.knowledge
         capacity = knowledge.buffer_capacity
@@ -332,8 +287,8 @@ class AdaptiveAdversary(Adversary):
         has_rate = (counts >= 2) & (windows != 0.0)
         safe_windows = np.where(has_rate, windows, 1.0)
         rates = np.where(has_rate, (counts - 1) / safe_windows, np.nan)
-        # Same expression shapes as the scalar path: mu = 1/(1/mu), then
-        # rho = rate / mu -- *not* rate * mean_delay, which rounds
+        # Same expression shapes as preemption_probability: mu = 1/(1/mu),
+        # then rho = rate / mu -- *not* rate * mean_delay, which rounds
         # differently.
         mu = 1.0 / knowledge.mean_delay_per_hop
         in_regime = (
@@ -345,8 +300,7 @@ class AdaptiveAdversary(Adversary):
         if self.clamp_to_advertised:
             saturation = np.minimum(saturation, knowledge.mean_delay_per_hop)
         extra = np.where(in_regime, saturation, knowledge.mean_delay_per_hop)
-        # Leave the adversary in the exact state the scalar loop would:
-        # every batch observation has been recorded.
+        # Every batch observation is now recorded traffic.
         self._last_arrival = float(arrivals[-1])
         self._arrival_count += int(arrivals.size)
         return arrivals - hops * (knowledge.transmission_delay + extra)
@@ -369,11 +323,6 @@ class _PathTableAdversary(Adversary):
                 f"no path knowledge for origin {origin}; "
                 f"known origins: {sorted(self._path_delay)}"
             )
-
-    def estimate(self, observation: PacketObservation) -> float:
-        extra = self._extra_delay(observation.origin)
-        transmission = observation.hop_count * self.knowledge.transmission_delay
-        return observation.arrival_time - transmission - extra
 
     def _estimate_batch(self, arrivals, hops, origins):
         unique_origins, inverse = np.unique(origins, return_inverse=True)

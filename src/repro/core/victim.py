@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.buffers import BufferedEntry
+    from repro.core.privacy_core import BufferedEntry
 
 __all__ = [
     "VictimPolicy",
@@ -49,10 +49,16 @@ class VictimPolicy(abc.ABC):
 
     #: short name used in experiment tables
     name: str = "abstract"
+    #: True if :meth:`select` draws from ``rng``; deterministic policies
+    #: are called with ``rng=None`` when the caller has no stream.
+    stochastic: bool = False
 
     @abc.abstractmethod
     def select(
-        self, entries: Sequence["BufferedEntry"], now: float, rng: np.random.Generator
+        self,
+        entries: Sequence["BufferedEntry"],
+        now: float,
+        rng: np.random.Generator | None = None,
     ) -> "BufferedEntry":
         """Return the entry to transmit immediately.
 
@@ -79,7 +85,7 @@ class ShortestRemainingDelay(VictimPolicy):
 
     name = "shortest-remaining"
 
-    def select(self, entries, now, rng):
+    def select(self, entries, now, rng=None):
         self._require_entries(entries)
         return min(entries, key=lambda e: (e.release_time, e.entry_id))
 
@@ -93,7 +99,7 @@ class LongestRemainingDelay(VictimPolicy):
 
     name = "longest-remaining"
 
-    def select(self, entries, now, rng):
+    def select(self, entries, now, rng=None):
         self._require_entries(entries)
         return max(entries, key=lambda e: (e.release_time, -e.entry_id))
 
@@ -102,9 +108,12 @@ class RandomVictim(VictimPolicy):
     """Uniformly random victim: the no-information baseline."""
 
     name = "random"
+    stochastic = True
 
-    def select(self, entries, now, rng):
+    def select(self, entries, now, rng=None):
         self._require_entries(entries)
+        if rng is None:
+            raise ValueError("RandomVictim needs a random stream")
         return entries[int(rng.integers(len(entries)))]
 
 
@@ -113,7 +122,7 @@ class OldestArrival(VictimPolicy):
 
     name = "oldest-arrival"
 
-    def select(self, entries, now, rng):
+    def select(self, entries, now, rng=None):
         self._require_entries(entries)
         return min(entries, key=lambda e: (e.arrival_time, e.entry_id))
 
@@ -123,6 +132,6 @@ class NewestArrival(VictimPolicy):
 
     name = "newest-arrival"
 
-    def select(self, entries, now, rng):
+    def select(self, entries, now, rng=None):
         self._require_entries(entries)
         return max(entries, key=lambda e: (e.arrival_time, e.entry_id))

@@ -13,13 +13,13 @@ from repro.defenses.registry import (
     DefenseMaterialization,
     DefenseRegistry,
     DropTailDefense,
-    InfiniteBufferDefense,
     JitteredDelayDefense,
     NoDelayDefense,
     PhantomDefense,
     ProportionalDelayDefense,
     RcadDefense,
     UnknownDefenseError,
+    UnlimitedBufferDefense,
 )
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "DefenseRegistry",
     "UnknownDefenseError",
     "NoDelayDefense",
-    "InfiniteBufferDefense",
+    "UnlimitedBufferDefense",
     "DropTailDefense",
     "RcadDefense",
     "PhantomDefense",

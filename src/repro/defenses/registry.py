@@ -202,7 +202,7 @@ class NoDelayDefense(Defense):
 
 
 @dataclass(frozen=True)
-class InfiniteBufferDefense(Defense):
+class UnlimitedBufferDefense(Defense):
     """Evaluation case 2: Exp(mu) delay at every hop, unbounded buffers."""
 
     name = "infinite"
@@ -382,7 +382,7 @@ DEFENSES.register(
     "no artificial delay, unbounded buffers (paper case 1)",
 )
 DEFENSES.register(
-    "infinite", InfiniteBufferDefense,
+    "infinite", UnlimitedBufferDefense,
     "Exp(mu) per-hop delay, unbounded buffers (paper case 2)",
 )
 DEFENSES.register(

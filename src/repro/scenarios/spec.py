@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.buffers import _validated_capacity
+from repro.core.privacy_core import _validated_capacity
 from repro.defenses import DEFENSES, DefenseContext
 from repro.net.routing import RoutingTree, greedy_grid_tree, shortest_path_tree
 from repro.net.topology import (

@@ -35,10 +35,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.buffers import RcadBuffer
 from repro.core.delays import ExponentialDelay
-from repro.core.privacy_core import CoreAction, TemporalPrivacyCore
-from repro.core.victim import ShortestRemainingDelay
+from repro.core.privacy_core import AdmissionOutcome, TemporalPrivacyCore
 from repro.service.config import ServiceConfig
 from repro.service.ladder import DegradationLadder, Tier
 from repro.service.snapshot import SnapshotEntry, load_snapshot, write_snapshot
@@ -137,10 +135,8 @@ class TemporalPrivacyService:
             _Shard(
                 index=i,
                 core=TemporalPrivacyCore(
-                    buffer=RcadBuffer(
-                        capacity=config.shard_capacity,
-                        victim_policy=ShortestRemainingDelay(),
-                    ),
+                    "rcad",
+                    capacity=config.shard_capacity,
                     delay=ExponentialDelay.from_mean(config.mean_delay),
                     delay_rng=np.random.default_rng(
                         np.random.SeedSequence(
@@ -333,7 +329,7 @@ class TemporalPrivacyService:
         self._buffered += 1
         registry.counter("service/admitted").inc()
         outcome = SubmitOutcome.ADMITTED
-        if decision.action is CoreAction.PREEMPT:
+        if decision.outcome is AdmissionOutcome.PREEMPT:
             registry.counter("service/preempt-admits").inc()
             outcome = SubmitOutcome.ADMITTED_PREEMPT
             self._emit_release(shard, decision.victim, early=True)

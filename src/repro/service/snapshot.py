@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.core.privacy_core import check_times
+
 __all__ = ["SNAPSHOT_VERSION", "SnapshotEntry", "write_snapshot", "load_snapshot"]
 
 #: Bump to orphan existing snapshot files on format changes.
@@ -94,7 +96,8 @@ def load_snapshot(path: str | Path) -> tuple[list[SnapshotEntry], int]:
 
     Returns ``(entries, corrupt_lines)`` with entries sorted by
     ``admit_seq``.  A missing file yields ``([], 0)``.  Lines failing
-    JSON parsing, checksum verification, or unpickling are counted and
+    JSON parsing, checksum verification, unpickling, or the core's
+    time check (finite, release not before arrival) are counted and
     skipped rather than raised -- the atomic write makes them
     improbable, but a snapshot must never be a new crash loop.
     """
@@ -120,6 +123,7 @@ def load_snapshot(path: str | Path) -> tuple[list[SnapshotEntry], int]:
             flow_id, seq, payload, arrival_time, release_time, admit_seq = (
                 pickle.loads(data)
             )
+            check_times(float(arrival_time), float(release_time))
             entries.append(
                 SnapshotEntry(
                     flow_id=flow_id,

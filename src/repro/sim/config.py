@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
-from repro.core.buffers import _validated_capacity
 from repro.core.planner import DelayPlan, UniformPlanner
+from repro.core.privacy_core import KINDS, _validated_capacity
 from repro.core.victim import VictimPolicy
 from repro.faults.plan import FaultPlan
 from repro.net.routing import RoutingTree, greedy_grid_tree
@@ -52,8 +52,8 @@ class BufferSpec:
 
     ``capacity`` is required for the bounded kinds; ``victim_policy``
     (RCAD only) defaults to the paper's shortest-remaining-delay.
-    Capacities are exact integers, checked here by the rule the buffers
-    themselves apply, so both engines reject a float or bool capacity
+    Capacities are exact integers, checked here by the rule the privacy
+    core itself applies, so both engines reject a float or bool capacity
     when the spec is built.
 
     ``per_node_capacity`` (bounded kinds only) overrides ``capacity``
@@ -69,7 +69,7 @@ class BufferSpec:
     per_node_capacity: Mapping[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("infinite", "drop-tail", "rcad"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown buffer kind {self.kind!r}")
         if self.kind in ("drop-tail", "rcad") and self.capacity is None:
             raise ValueError(f"{self.kind} buffers need capacity >= 1")

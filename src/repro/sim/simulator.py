@@ -34,15 +34,11 @@ with a packet-conservation and clock audit
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.core.buffers import (
-    DropTailBuffer,
-    InfiniteBuffer,
-    PacketBuffer,
-    RcadBuffer,
-)
-from repro.core.privacy_core import CoreAction, TemporalPrivacyCore
+from repro.core.privacy_core import AdmissionOutcome, TemporalPrivacyCore
 from repro.crypto.keys import KeyManager
 from repro.crypto.payload import PayloadCodec, SensorReading
 from repro.des import BackoffTimer, RngRegistry, Simulator
@@ -90,30 +86,6 @@ class _CopySet:
     accepted: bool = False
 
 
-@dataclass(slots=True)
-class _NodeState:
-    """Runtime state of one buffering node.
-
-    The buffering/delay/preemption *policy* lives in the node's
-    :class:`~repro.core.privacy_core.TemporalPrivacyCore`; this wrapper
-    adds the simulator-side bookkeeping (stats, occupancy integral).
-    """
-
-    core: TemporalPrivacyCore
-    stats: NodeStats
-    last_occupancy_change: float = 0.0
-
-    @property
-    def buffer(self) -> PacketBuffer:
-        return self.core.buffer
-
-    def track_occupancy(self, now: float, occupancy_before: int) -> None:
-        elapsed = now - self.last_occupancy_change
-        if elapsed > 0:
-            self.stats.occupancy_time_integral += occupancy_before * elapsed
-        self.last_occupancy_change = now
-
-
 class SensorNetworkSimulator:
     """Runs one :class:`~repro.sim.config.SimulationConfig` to completion.
 
@@ -134,7 +106,12 @@ class SensorNetworkSimulator:
         self._result = SimulationResult()
         # The delivery log, one list per column until _finalize.
         self._deliveries: dict[str, list] = {name: [] for name in DELIVERY_COLUMNS}
-        self._nodes: dict[int, _NodeState] = {}
+        # One privacy core per node that buffered, lost or retransmitted
+        # a packet; each becomes a NodeStats row at _finalize.
+        self._nodes: dict[int, TemporalPrivacyCore] = {}
+        self._probes: dict[int, Callable[[str, int], None]] = {}
+        self._lost_by_node: Counter[int] = Counter()
+        self._retransmissions_by_node: Counter[int] = Counter()
         self._codec = (
             PayloadCodec(KeyManager(_MASTER_KEY)) if config.seal_payloads else None
         )
@@ -223,35 +200,37 @@ class SensorNetworkSimulator:
             if window.end != float("inf"):
                 self._sim.schedule(window.end, self._on_recover, window.node)
 
-    def _node_state(self, node: int) -> _NodeState:
-        state = self._nodes.get(node)
-        if state is None:
+    def _core(self, node: int) -> TemporalPrivacyCore:
+        core = self._nodes.get(node)
+        if core is None:
+            spec = self.config.buffers
             delay_plan = self.config.delay_plan
-            state = _NodeState(
-                core=TemporalPrivacyCore(
-                    buffer=self._make_buffer(node),
-                    delay=(
-                        delay_plan.distribution_for(node)
-                        if delay_plan is not None
-                        else None
-                    ),
-                    delay_rng=self._rng.stream(f"delay/node-{node}"),
-                    victim_rng=self._rng.stream(f"victim/node-{node}"),
+            core = TemporalPrivacyCore(
+                spec.kind,
+                capacity=spec.capacity_for(node),
+                victim_policy=spec.victim_policy,
+                delay=(
+                    delay_plan.distribution_for(node)
+                    if delay_plan is not None
+                    else None
                 ),
-                stats=NodeStats(node_id=node),
-                last_occupancy_change=self._sim.now,
+                delay_rng=self._rng.stream(f"delay/node-{node}"),
+                victim_rng=self._rng.stream(f"victim/node-{node}"),
             )
             if self.telemetry is not None:
-                self._attach_probe(node, state.buffer)
-            self._nodes[node] = state
-        return state
+                self._probes[node] = self._make_probe(node)
+            self._nodes[node] = core
+        return core
 
-    def _attach_probe(self, node: int, buffer: PacketBuffer) -> None:
-        """Instrument one node's buffer.
+    def _make_probe(self, node: int) -> Callable[[str, int], None]:
+        """Telemetry hook ``(event, occupancy)`` for one node's buffer.
 
-        The closure pre-resolves every metric object so the per-event
-        cost is two list appends and a counter bump -- no dictionary
-        lookups or allocations on the buffer's hot path.
+        Called after every buffer state change with the post-event
+        occupancy, where ``event`` is an :class:`AdmissionOutcome`
+        value or ``"release"``.  A preemption reports once, after the
+        victim is out and the newcomer is in.  The closure pre-resolves
+        every metric object so the per-event cost is two list appends
+        and a counter bump.
         """
         telemetry = self.telemetry
         occupancy = telemetry.series.series(f"occupancy/node-{node}")
@@ -276,16 +255,7 @@ class SensorNetworkSimulator:
             if events is not None:
                 events.append(now, 1.0)
 
-        buffer.telemetry_probe = probe
-
-    def _make_buffer(self, node: int) -> PacketBuffer:
-        spec = self.config.buffers
-        capacity = spec.capacity_for(node)
-        if capacity is None:
-            return InfiniteBuffer()
-        if spec.kind == "drop-tail":
-            return DropTailBuffer(capacity=capacity)
-        return RcadBuffer(capacity=capacity, victim_policy=spec.victim_policy)
+        return probe
 
     # ------------------------------------------------------------------
     # packet lifecycle
@@ -349,13 +319,12 @@ class SensorNetworkSimulator:
         self._buffer_packet(node, transit)
 
     def _buffer_packet(self, node: int, transit: _TransitPacket) -> None:
-        state = self._node_state(node)
+        core = self._core(node)
         now = self._sim.now
-        occupancy_before = state.buffer.occupancy
-        result = state.core.offer(transit, now)
-        state.track_occupancy(now, occupancy_before)
-        if result.action is CoreAction.SHED:
-            state.stats.dropped += 1
+        result = core.offer(transit, now)
+        if self.telemetry is not None:
+            self._probes[node](result.outcome.value, core.occupancy)
+        if result.outcome is AdmissionOutcome.DROP:
             self._counters.buffer_dropped += 1
             self._trace(transit, "dropped", node)
             self._result.dropped.append(
@@ -368,7 +337,6 @@ class SensorNetworkSimulator:
                 )
             )
             return
-        state.stats.admitted += 1
         assert result.entry is not None  # admitted implies an entry exists
         entry = result.entry
         self._trace(transit, "buffered", node, detail=entry.release_time)
@@ -376,7 +344,6 @@ class SensorNetworkSimulator:
             entry.release_time, self._on_release, node, entry.entry_id, lane=node
         )
         if result.victim is not None:
-            state.stats.preemptions += 1
             victim = result.victim
             if victim.context is not None:
                 victim.context.cancel()
@@ -396,10 +363,10 @@ class SensorNetworkSimulator:
             # turns any scheduling bug into a loud invariant failure.
             self._counters.crashed_releases += 1
             return
-        state = self._node_state(node)
-        occupancy_before = state.buffer.occupancy
-        entry = state.core.release(entry_id)
-        state.track_occupancy(self._sim.now, occupancy_before)
+        core = self._nodes[node]
+        entry = core.release(entry_id, self._sim.now)
+        if self.telemetry is not None:
+            self._probes[node]("release", core.occupancy)
         self._transmit(node, entry.payload)
 
     # ------------------------------------------------------------------
@@ -461,7 +428,8 @@ class SensorNetworkSimulator:
         ``sender``; attribute the loss location to the transmitter."""
         self.lost_in_transit += 1
         self._counters.lost_in_transit += 1
-        self._node_state(sender).stats.lost_in_transit += 1
+        self._core(sender)  # the sender gets a NodeStats row
+        self._lost_by_node[sender] += 1
         if blackholed:
             self._result.crash_blackholed += 1
         if arq_failed:
@@ -623,7 +591,9 @@ class SensorNetworkSimulator:
         self._result.retransmissions.append(
             (self._sim.now, transfer.sender, transfer.receiver)
         )
-        self._node_state(transfer.sender).stats.retransmissions += 1
+        sender = transfer.sender
+        self._core(sender)  # the sender gets a NodeStats row
+        self._retransmissions_by_node[sender] += 1
         if self.telemetry is not None:
             self.telemetry.registry.counter("sim/retransmissions").inc()
             self.telemetry.series.series("events/retransmit").append(
@@ -638,11 +608,11 @@ class SensorNetworkSimulator:
     # ------------------------------------------------------------------
     def _on_crash(self, node: int) -> None:
         self._faults.mark_crashed(node)
-        state = self._nodes.get(node)
-        if state is not None:
+        core = self._nodes.get(node)
+        if core is not None:
             # Freeze the buffer: pending releases are cancelled, the
             # entries stay put until recovery (or strand forever).
-            for entry in state.buffer.entries():
+            for entry in core.entries():
                 if entry.context is not None and entry.context.pending:
                     entry.context.cancel()
         # Abort this node's outstanding ARQ transfers as a sender: a
@@ -660,11 +630,11 @@ class SensorNetworkSimulator:
 
     def _on_recover(self, node: int) -> None:
         self._faults.mark_recovered(node)
-        state = self._nodes.get(node)
-        if state is None:
+        core = self._nodes.get(node)
+        if core is None:
             return
         now = self._sim.now
-        for entry in state.buffer.entries():
+        for entry in core.entries():
             if entry.context is None or not entry.context.pending:
                 # Overdue releases fire immediately on recovery; the
                 # rest resume their original schedule.
@@ -713,13 +683,21 @@ class SensorNetworkSimulator:
         # the clock at the safety horizon, which would dilute every
         # time-averaged statistic.
         end = self._sim.last_event_time
-        for node, state in self._nodes.items():
-            state.track_occupancy(end, state.buffer.occupancy)
-            state.stats.observation_time = end
-            state.stats.peak_occupancy = state.buffer.peak_occupancy
-            self._result.node_stats[node] = state.stats
-            if state.buffer.occupancy > 0:
-                self._counters.stranded_in_buffer += state.buffer.occupancy
+        for node, core in self._nodes.items():
+            core.settle(end)
+            self._result.node_stats[node] = NodeStats(
+                node_id=node,
+                admitted=core.admitted,
+                dropped=core.dropped,
+                preemptions=core.preemptions,
+                peak_occupancy=core.peak_occupancy,
+                occupancy_time_integral=core.occupancy_time_integral,
+                observation_time=end,
+                lost_in_transit=self._lost_by_node[node],
+                retransmissions=self._retransmissions_by_node[node],
+            )
+            if core.occupancy > 0:
+                self._counters.stranded_in_buffer += core.occupancy
                 self._counters.stranding_nodes.add(node)
         self._result.set_deliveries(**self._deliveries)
         self._result.lost_in_transit = self.lost_in_transit

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.net.routing import greedy_grid_tree
 from repro.net.topology import paper_topology
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import SensorNetworkSimulator
+
+# Property tests run the same examples on every run (a failure is
+# reproducible from the test name alone) and write no example database.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,157 +1,232 @@
-"""Unit tests for buffer disciplines, including the RCAD buffer."""
+"""Unit tests for the buffer disciplines of the privacy core, RCAD included."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.buffers import (
-    AdmissionOutcome,
-    DropTailBuffer,
-    InfiniteBuffer,
-    RcadBuffer,
-)
+from repro.core.delays import ConstantDelay
+from repro.core.privacy_core import AdmissionOutcome, TemporalPrivacyCore
 from repro.core.victim import LongestRemainingDelay, RandomVictim
 
-RNG = np.random.Generator(np.random.PCG64(0))
+
+def _offer(core, payload, arrival_time, release_time):
+    return core.offer(payload, arrival_time, delay=release_time - arrival_time)
+
+
+def _infinite():
+    return TemporalPrivacyCore("infinite")
+
+
+def _drop_tail(capacity):
+    return TemporalPrivacyCore("drop-tail", capacity=capacity)
+
+
+def _rcad(capacity, victim_policy=None, victim_rng=None):
+    return TemporalPrivacyCore(
+        "rcad", capacity=capacity, victim_policy=victim_policy, victim_rng=victim_rng
+    )
 
 
 class TestInfiniteBuffer:
     def test_admits_everything(self):
-        buffer = InfiniteBuffer()
+        core = _infinite()
         for i in range(100):
-            result = buffer.offer(f"p{i}", arrival_time=float(i), release_time=1e6)
-            assert result.outcome is AdmissionOutcome.ADMITTED
-        assert buffer.occupancy == 100
-        assert buffer.dropped_count == 0
-        assert not buffer.is_full
+            result = _offer(core, f"p{i}", float(i), 1e6)
+            assert result.outcome is AdmissionOutcome.ADMIT
+        assert core.occupancy == 100
+        assert core.dropped == 0
+        assert not core.is_full
 
     def test_capacity_is_none(self):
-        assert InfiniteBuffer().capacity is None
+        assert _infinite().capacity is None
+        with pytest.raises(ValueError):
+            TemporalPrivacyCore("infinite", capacity=4)
 
     def test_release_removes_entry(self):
-        buffer = InfiniteBuffer()
-        entry = buffer.offer("a", 0.0, 5.0).entry
-        released = buffer.release(entry.entry_id)
+        core = _infinite()
+        entry = _offer(core, "a", 0.0, 5.0).entry
+        released = core.release(entry.entry_id, 5.0)
         assert released.payload == "a"
-        assert buffer.occupancy == 0
+        assert core.occupancy == 0
 
     def test_release_unknown_raises(self):
         with pytest.raises(KeyError):
-            InfiniteBuffer().release(42)
+            _infinite().release(42, 0.0)
 
     def test_peak_occupancy_tracked(self):
-        buffer = InfiniteBuffer()
-        entries = [buffer.offer(i, 0.0, 10.0).entry for i in range(5)]
+        core = _infinite()
+        entries = [_offer(core, i, 0.0, 10.0).entry for i in range(5)]
         for entry in entries:
-            buffer.release(entry.entry_id)
-        assert buffer.peak_occupancy == 5
-        assert buffer.occupancy == 0
+            core.release(entry.entry_id, 10.0)
+        assert core.peak_occupancy == 5
+        assert core.occupancy == 0
+        assert core.occupancy_time_integral == 50.0
 
     def test_shortest_remaining_release_time(self):
-        buffer = InfiniteBuffer()
-        buffer.offer("a", 0.0, 9.0)
-        buffer.offer("b", 0.0, 4.0)
-        assert buffer.shortest_remaining_release_time() == 4.0
-        assert InfiniteBuffer().shortest_remaining_release_time() is None
+        core = _infinite()
+        _offer(core, "a", 0.0, 9.0)
+        _offer(core, "b", 0.0, 4.0)
+        assert core.next_release_time() == 4.0
+        assert _infinite().next_release_time() is None
 
     def test_release_before_arrival_rejected(self):
         with pytest.raises(ValueError):
-            InfiniteBuffer().offer("a", arrival_time=5.0, release_time=4.0)
+            _offer(_infinite(), "a", 5.0, 4.0)
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time would be admitted and never released."""
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_offer_rejects_non_finite_delay(self, delay):
+        core = _rcad(4)
+        with pytest.raises(ValueError, match="finite"):
+            core.offer("a", now=0.0, delay=delay)
+        assert core.occupancy == 0 and core.admitted == 0
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_offer_rejects_non_finite_arrival(self, now):
+        with pytest.raises(ValueError, match="finite"):
+            _infinite().offer("a", now=now, delay=1.0)
+
+    def test_offer_rejects_non_finite_sampled_delay(self):
+        core = TemporalPrivacyCore(
+            "infinite", delay=ConstantDelay(math.inf),
+            delay_rng=np.random.default_rng(0),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            core.offer("a", now=0.0)
+
+    @pytest.mark.parametrize(
+        "arrival, release", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)]
+    )
+    def test_restore_rejects_non_finite(self, arrival, release):
+        core = _rcad(4)
+        with pytest.raises(ValueError, match="finite"):
+            core.restore([("a", arrival, release)])
+        assert core.occupancy == 0
 
 
 class TestDropTailBuffer:
     def test_drops_when_full(self):
-        buffer = DropTailBuffer(capacity=2)
-        assert buffer.offer("a", 0.0, 10.0).outcome is AdmissionOutcome.ADMITTED
-        assert buffer.offer("b", 0.0, 10.0).outcome is AdmissionOutcome.ADMITTED
-        result = buffer.offer("c", 0.0, 10.0)
-        assert result.outcome is AdmissionOutcome.DROPPED
+        core = _drop_tail(2)
+        assert _offer(core, "a", 0.0, 10.0).outcome is AdmissionOutcome.ADMIT
+        assert _offer(core, "b", 0.0, 10.0).outcome is AdmissionOutcome.ADMIT
+        result = _offer(core, "c", 0.0, 10.0)
+        assert result.outcome is AdmissionOutcome.DROP
         assert result.entry is None and result.victim is None
-        assert buffer.occupancy == 2
-        assert buffer.dropped_count == 1
+        assert core.occupancy == 2
+        assert core.dropped == 1
 
     def test_slot_freed_by_release(self):
-        buffer = DropTailBuffer(capacity=1)
-        entry = buffer.offer("a", 0.0, 5.0).entry
-        buffer.release(entry.entry_id)
-        assert buffer.offer("b", 6.0, 9.0).outcome is AdmissionOutcome.ADMITTED
+        core = _drop_tail(1)
+        entry = _offer(core, "a", 0.0, 5.0).entry
+        core.release(entry.entry_id, 5.0)
+        assert _offer(core, "b", 6.0, 9.0).outcome is AdmissionOutcome.ADMIT
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            DropTailBuffer(capacity=0)
+            _drop_tail(0)
+        with pytest.raises(TypeError):
+            _drop_tail(2.9)
+        with pytest.raises(ValueError):
+            TemporalPrivacyCore("drop-tail", capacity=2, victim_policy=RandomVictim())
 
     def test_counters(self):
-        buffer = DropTailBuffer(capacity=1)
-        buffer.offer("a", 0.0, 10.0)
-        buffer.offer("b", 0.0, 10.0)
-        assert buffer.admitted_count == 1
-        assert buffer.dropped_count == 1
-        assert buffer.preemption_count == 0
+        core = _drop_tail(1)
+        _offer(core, "a", 0.0, 10.0)
+        _offer(core, "b", 0.0, 10.0)
+        assert core.admitted == 1
+        assert core.dropped == 1
+        assert core.preemptions == 0
 
 
 class TestRcadBuffer:
     def test_preempts_shortest_remaining_by_default(self):
-        buffer = RcadBuffer(capacity=3)
-        buffer.offer("slow", 0.0, 50.0)
-        buffer.offer("fast", 0.0, 5.0)
-        buffer.offer("mid", 0.0, 25.0)
-        result = buffer.offer("new", 1.0, 40.0)
-        assert result.outcome is AdmissionOutcome.PREEMPTED_VICTIM
+        core = _rcad(3)
+        _offer(core, "slow", 0.0, 50.0)
+        _offer(core, "fast", 0.0, 5.0)
+        _offer(core, "mid", 0.0, 25.0)
+        result = _offer(core, "new", 1.0, 40.0)
+        assert result.outcome is AdmissionOutcome.PREEMPT
         assert result.victim.payload == "fast"
-        assert buffer.occupancy == 3  # victim out, new packet in
-        assert buffer.preemption_count == 1
-        assert buffer.dropped_count == 0
+        assert core.occupancy == 3  # victim out, new packet in
+        assert core.preemptions == 1
+        assert core.dropped == 0
 
     def test_never_drops(self):
-        buffer = RcadBuffer(capacity=1)
+        core = _rcad(1)
         for i in range(50):
-            outcome = buffer.offer(i, float(i), float(i) + 30.0).outcome
-            assert outcome is not AdmissionOutcome.DROPPED
-        assert buffer.dropped_count == 0
-        assert buffer.preemption_count == 49
+            outcome = _offer(core, i, float(i), float(i) + 30.0).outcome
+            assert outcome is not AdmissionOutcome.DROP
+        assert core.dropped == 0
+        assert core.preemptions == 49
 
     def test_victim_removed_from_entries(self):
-        buffer = RcadBuffer(capacity=1)
-        first = buffer.offer("a", 0.0, 30.0)
-        second = buffer.offer("b", 1.0, 31.0)
+        core = _rcad(1)
+        first = _offer(core, "a", 0.0, 30.0)
+        second = _offer(core, "b", 1.0, 31.0)
         assert second.victim.entry_id == first.entry.entry_id
-        remaining = buffer.entries()
+        remaining = core.entries()
         assert len(remaining) == 1 and remaining[0].payload == "b"
         with pytest.raises(KeyError):
-            buffer.release(first.entry.entry_id)
+            core.release(first.entry.entry_id, 30.0)
 
     def test_no_preemption_below_capacity(self):
-        buffer = RcadBuffer(capacity=3)
-        assert buffer.offer("a", 0.0, 10.0).victim is None
-        assert buffer.offer("b", 0.0, 10.0).victim is None
-        assert buffer.preemption_count == 0
+        core = _rcad(3)
+        assert _offer(core, "a", 0.0, 10.0).victim is None
+        assert _offer(core, "b", 0.0, 10.0).victim is None
+        assert core.preemptions == 0
 
     def test_custom_victim_policy(self):
-        buffer = RcadBuffer(capacity=2, victim_policy=LongestRemainingDelay())
-        buffer.offer("short", 0.0, 5.0)
-        buffer.offer("long", 0.0, 50.0)
-        result = buffer.offer("new", 1.0, 20.0)
+        core = _rcad(2, LongestRemainingDelay())
+        _offer(core, "short", 0.0, 5.0)
+        _offer(core, "long", 0.0, 50.0)
+        result = _offer(core, "new", 1.0, 20.0)
         assert result.victim.payload == "long"
 
     def test_random_victim_uses_supplied_rng(self):
-        buffer = RcadBuffer(capacity=2, victim_policy=RandomVictim())
-        buffer.offer("a", 0.0, 10.0)
-        buffer.offer("b", 0.0, 20.0)
         rng = np.random.Generator(np.random.PCG64(3))
-        result = buffer.offer("c", 1.0, 30.0, rng=rng)
+        core = _rcad(2, RandomVictim(), victim_rng=rng)
+        _offer(core, "a", 0.0, 10.0)
+        _offer(core, "b", 0.0, 20.0)
+        result = _offer(core, "c", 1.0, 30.0)
         assert result.victim.payload in ("a", "b")
+
+    def test_random_victim_reproducible_per_seed(self):
+        def victims(seed):
+            core = _rcad(2, RandomVictim(), victim_rng=np.random.default_rng(seed))
+            picked = []
+            for i in range(40):
+                result = _offer(core, i, float(i), float(i) + 100.0)
+                if result.victim is not None:
+                    picked.append(result.victim.payload)
+            return picked
+
+        assert victims(7) == victims(7)
+        assert len(victims(7)) == 38
+
+    def test_random_victim_without_stream_rejected(self):
+        with pytest.raises(ValueError, match="victim_rng"):
+            _rcad(2, RandomVictim())
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            RcadBuffer(capacity=0)
+            _rcad(0)
+        with pytest.raises(TypeError):
+            TemporalPrivacyCore("rcad")
+        with pytest.raises(ValueError):
+            TemporalPrivacyCore("lifo", capacity=2)
 
     def test_effective_delay_shortened(self):
         """Preempted packets leave before their scheduled release: the
         mechanism by which RCAD adapts the effective mu."""
-        buffer = RcadBuffer(capacity=1)
-        buffer.offer("victim-to-be", arrival_time=0.0, release_time=30.0)
-        result = buffer.offer("new", arrival_time=2.0, release_time=32.0)
+        core = _rcad(1)
+        _offer(core, "victim-to-be", 0.0, 30.0)
+        result = _offer(core, "new", 2.0, 32.0)
         victim = result.victim
         assert victim.release_time == 30.0
         assert victim.remaining_delay(now=2.0) == 28.0  # delay cut short by 28
@@ -170,15 +245,15 @@ class TestBufferInvariants:
         st.integers(min_value=1, max_value=8),
     )
     def test_rcad_occupancy_never_exceeds_capacity(self, offers, capacity):
-        buffer = RcadBuffer(capacity=capacity)
+        core = _rcad(capacity)
         now = 0.0
         for gap, delay in offers:
             now += gap
-            result = buffer.offer("p", now, now + delay)
-            assert result.outcome is not AdmissionOutcome.DROPPED
-            assert buffer.occupancy <= capacity
-        assert buffer.admitted_count == len(offers)
-        assert buffer.peak_occupancy <= capacity
+            result = core.offer("p", now, delay=delay)
+            assert result.outcome is not AdmissionOutcome.DROP
+            assert core.occupancy <= capacity
+        assert core.admitted == len(offers)
+        assert core.peak_occupancy <= capacity
 
     @given(
         st.lists(
@@ -188,18 +263,18 @@ class TestBufferInvariants:
     )
     def test_droptail_conservation(self, gaps, capacity):
         """admitted + dropped == offered, occupancy <= capacity."""
-        buffer = DropTailBuffer(capacity=capacity)
+        core = _drop_tail(capacity)
         now = 0.0
         for gap in gaps:
             now += gap
-            buffer.offer("p", now, now + 30.0)
-        assert buffer.admitted_count + buffer.dropped_count == len(gaps)
-        assert buffer.occupancy <= capacity
+            core.offer("p", now, delay=30.0)
+        assert core.admitted + core.dropped == len(gaps)
+        assert core.occupancy <= capacity
 
     @given(st.integers(min_value=1, max_value=6))
     def test_rcad_preemptions_equal_overflow_offers(self, capacity):
-        buffer = RcadBuffer(capacity=capacity)
+        core = _rcad(capacity)
         total = 4 * capacity
         for i in range(total):
-            buffer.offer(i, float(i), float(i) + 1000.0)
-        assert buffer.preemption_count == total - capacity
+            core.offer(i, float(i), delay=1000.0)
+        assert core.preemptions == total - capacity

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.buffers import BufferedEntry
+from repro.core.privacy_core import BufferedEntry
 from repro.core.victim import (
     LongestRemainingDelay,
     NewestArrival,
@@ -150,23 +150,22 @@ class TestTieBreaking:
             assert ShortestRemainingDelay().select(list(perm), 4.0, RNG).entry_id == 3
 
     def test_rcad_buffer_preemption_tie_is_replay_stable(self):
-        """Equal release times in a full RcadBuffer always evict the
+        """Equal release times in a full RCAD core always evict the
         earliest-admitted entry, before and after a restore cycle."""
-        from repro.core.buffers import RcadBuffer
+        from repro.core.privacy_core import TemporalPrivacyCore
 
-        def build(restored: bool) -> RcadBuffer:
-            buf = RcadBuffer(capacity=3)
+        def build(restored: bool) -> TemporalPrivacyCore:
+            core = TemporalPrivacyCore("rcad", capacity=3)
             items = [("a", 0.0, 50.0), ("b", 1.0, 50.0), ("c", 2.0, 50.0)]
             if restored:
-                for payload, arrival, release in items:
-                    buf.restore_entry(payload, arrival, release)
+                core.restore(items)
             else:
                 for payload, arrival, release in items:
-                    buf.offer(payload, arrival_time=arrival, release_time=release)
-            return buf
+                    core.offer(payload, arrival, delay=release - arrival)
+            return core
 
         for restored in (False, True):
-            buf = build(restored)
-            result = buf.offer("d", arrival_time=3.0, release_time=60.0)
+            core = build(restored)
+            result = core.offer("d", 3.0, delay=57.0)
             assert result.victim is not None
             assert result.victim.payload == "a"

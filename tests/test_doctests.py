@@ -8,8 +8,8 @@ import doctest
 
 import pytest
 
-import repro.core.buffers
 import repro.core.delays
+import repro.core.privacy_core
 import repro.crypto.keys
 import repro.crypto.mac
 import repro.crypto.modes
@@ -42,7 +42,7 @@ MODULES = [
     repro.queueing.tandem,
     repro.queueing.simq,
     repro.core.delays,
-    repro.core.buffers,
+    repro.core.privacy_core,
     repro.sim.simulator,
 ]
 

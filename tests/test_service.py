@@ -130,6 +130,23 @@ class TestSnapshotFile:
         assert corrupt == 2
         assert len(loaded) == 2
 
+    @pytest.mark.parametrize(
+        "arrival, release",
+        [(1.0, float("nan")), (float("nan"), 9.0), (1.0, float("inf")), (9.0, 1.0)],
+    )
+    def test_invalid_times_counted_corrupt(self, tmp_path, arrival, release):
+        # A NaN release never falls due, so restoring it would make a
+        # drain without timeout wait forever.
+        path = tmp_path / "svc.snap"
+        bad = SnapshotEntry(
+            flow_id=7, seq=0, payload=None, arrival_time=arrival,
+            release_time=release, admit_seq=3,
+        )
+        write_snapshot(path, self.ENTRIES + [bad])
+        loaded, corrupt = load_snapshot(path)
+        assert corrupt == 1
+        assert loaded == self.ENTRIES
+
     def test_atomic_replace_leaves_no_tmp(self, tmp_path):
         path = tmp_path / "svc.snap"
         write_snapshot(path, self.ENTRIES)
