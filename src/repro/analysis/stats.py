@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["SummaryStats", "summarize", "bootstrap_ci"]
 
@@ -34,6 +33,8 @@ def summarize(samples: Sequence[float], confidence: float = 0.95) -> SummaryStat
 
     With a single sample the interval degenerates to the point itself.
     """
+    from scipy import stats as scipy_stats
+
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     values = np.asarray(samples, dtype=float)

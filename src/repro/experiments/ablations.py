@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.core.adversary import BaselineAdversary, FlowKnowledge
 from repro.core.optimizer import VarianceOptimalPlanner
@@ -92,6 +91,8 @@ def victim_policy_ablation(
     flow_id: int = 1,
 ) -> list[VictimAblationRow]:
     """Compare RCAD victim policies at one (high) traffic load."""
+    from scipy import stats as scipy_stats
+
     rows = []
     for policy in policies:
         config = SimulationConfig.paper_baseline(

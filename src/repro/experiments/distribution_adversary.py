@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.core.planner import UniformPlanner
 from repro.experiments.common import (
@@ -76,6 +75,8 @@ def distribution_adversary_experiment(
     grid_step: float = 10.0,
 ) -> list[DistributionAdversaryRow]:
     """Run the EM adversary against the three evaluation cases."""
+    from scipy import stats as scipy_stats
+
     rng = np.random.Generator(np.random.PCG64(seed))
     creation_times = _bimodal_pattern(n_packets, rng)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import digamma
-
 __all__ = [
     "exponential_entropy",
     "uniform_entropy",
@@ -60,6 +58,8 @@ def erlang_entropy(shape: int, rate: float) -> float:
     where psi is the digamma function.  ``shape = 1`` recovers the
     exponential entropy.
     """
+    from scipy.special import digamma
+
     if shape < 1:
         raise ValueError(f"shape must be a positive integer, got {shape}")
     if rate <= 0:

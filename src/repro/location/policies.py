@@ -80,10 +80,7 @@ class PhantomRoutingPolicy(RoutingPolicy):
         self.tree = tree
         self.deployment = deployment
         self.walk_length = int(walk_length)
-        graph = deployment.connectivity_graph()
-        self._neighbors: dict[int, list[int]] = {
-            node: sorted(graph.neighbors(node)) for node in graph.nodes
-        }
+        self._neighbors: dict[int, list[int]] = deployment.connectivity_graph()
         self._remaining: dict[tuple[int, int], int] = {}
 
     def first_hop_state(self, packet_key: tuple[int, int]) -> None:

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import networkx as nx
-
-from repro.net.topology import Deployment
+from repro.net.topology import Deployment, hop_distances
 
 __all__ = [
     "RoutingTree",
@@ -177,7 +175,7 @@ def backup_parents(deployment: Deployment, tree: RoutingTree) -> dict[int, int]:
             )
         primary = tree.parent[node]
         candidates: list[tuple[int, int]] = []
-        for neighbor in graph.neighbors(node):
+        for neighbor in graph[node]:
             neighbor_depth = depth.get(neighbor)
             if neighbor_depth is None:
                 raise ValueError(
@@ -204,7 +202,7 @@ def shortest_path_tree(deployment: Deployment) -> RoutingTree:
     once instead of twice.
     """
     graph = deployment.connectivity_graph()
-    distances = nx.single_source_shortest_path_length(graph, deployment.sink)
+    distances = hop_distances(graph, deployment.sink)
     unreachable = [n for n in deployment.node_ids if n not in distances]
     if unreachable:
         raise DisconnectedDeploymentError(
@@ -216,7 +214,7 @@ def shortest_path_tree(deployment: Deployment) -> RoutingTree:
             continue
         candidates = [
             neighbor
-            for neighbor in graph.neighbors(node)
+            for neighbor in graph[node]
             if distances[neighbor] == distances[node] - 1
         ]
         if not candidates:  # pragma: no cover - BFS guarantees a parent

@@ -1,24 +1,26 @@
 """Deployments: where the nodes are and who can hear whom.
 
 A :class:`Deployment` is a set of node positions plus a communication
-radius; connectivity is the induced unit-disk graph.  Builders cover
-the standard research topologies (line, grid, random geometric) and
-:func:`paper_topology` reconstructs the evaluation scenario of the
-paper's Figure 1: four source flows with hop counts 15, 22, 9 and 11
-that merge progressively on their way to a common sink.
+radius; connectivity is the induced unit-disk graph, held as a plain
+adjacency dict and searched with :func:`hop_distances` (BFS).
+Builders cover the standard research topologies (line, grid, random
+geometric) and :func:`paper_topology` reconstructs the evaluation
+scenario of the paper's Figure 1: four source flows with hop counts 15,
+22, 9 and 11 that merge progressively on their way to a common sink.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
     "Deployment",
+    "hop_distances",
     "line_deployment",
     "grid_deployment",
     "random_geometric_deployment",
@@ -52,7 +54,7 @@ class Deployment:
         Id of the data sink (base station).
     radio_range:
         Two nodes are connected iff their Euclidean distance is at most
-        this range.
+        this range.  It and every coordinate must be finite.
     """
 
     positions: Mapping[int, tuple[float, float]]
@@ -63,8 +65,13 @@ class Deployment:
     def __post_init__(self) -> None:
         if self.sink not in self.positions:
             raise ValueError(f"sink id {self.sink} has no position")
-        if self.radio_range <= 0:
-            raise ValueError(f"radio range must be positive, got {self.radio_range}")
+        if not (math.isfinite(self.radio_range) and self.radio_range > 0):
+            raise ValueError(
+                f"radio range must be finite and positive, got {self.radio_range}"
+            )
+        for node, (x, y) in self.positions.items():
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"node {node} has a non-finite position ({x}, {y})")
 
     @property
     def node_ids(self) -> list[int]:
@@ -76,20 +83,21 @@ class Deployment:
         (ax, ay), (bx, by) = self.positions[a], self.positions[b]
         return math.hypot(ax - bx, ay - by)
 
-    def connectivity_graph(self) -> nx.Graph:
-        """The unit-disk communication graph.
+    def connectivity_graph(self) -> dict[int, list[int]]:
+        """The unit-disk communication graph as an adjacency dict.
 
-        Candidate pairs come from a spatial hash (grid cells of side
-        ``radio_range``): two nodes within range always fall in the
-        same or adjacent cells, so only those pairs are distance-tested.
+        Every node is a key, in ``positions`` order, mapped to the sorted
+        list of its radio neighbours.  Candidate pairs come from a
+        spatial hash (grid cells of side ``radio_range``): two nodes
+        within range always fall in the same or adjacent cells, so only
+        those pairs are distance-tested.
         The edge set is exactly the brute-force all-pairs one
         (``distance <= radio_range + 1e-12``), but building it is
         O(n * local density) instead of O(n^2) -- the difference
         between milliseconds and minutes at the 10^3-10^4-node
         scenario scales.
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.positions)
+        graph: dict[int, list[int]] = {node: [] for node in self.positions}
         ids = self.node_ids
         if len(ids) < 2:
             return graph
@@ -107,7 +115,8 @@ class Deployment:
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     if self.distance(a, b) <= limit:
-                        graph.add_edge(a, b)
+                        graph[a].append(b)
+                        graph[b].append(a)
             for ox, oy in offsets:
                 others = buckets.get((cx + ox, cy + oy))
                 if others is None:
@@ -115,13 +124,16 @@ class Deployment:
                 for a in members:
                     for b in others:
                         if self.distance(a, b) <= limit:
-                            graph.add_edge(a, b)
+                            graph[a].append(b)
+                            graph[b].append(a)
+        for neighbours in graph.values():
+            neighbours.sort()
         return graph
 
     def is_connected(self) -> bool:
         """True if every node can reach the sink over some path."""
-        graph = self.connectivity_graph()
-        return nx.is_connected(graph) if graph.number_of_nodes() else True
+        reached = hop_distances(self.connectivity_graph(), self.sink)
+        return len(reached) == len(self.positions)
 
     def node_for_label(self, label: str) -> int:
         """Resolve a human label (e.g. ``"S1"``) to a node id."""
@@ -129,6 +141,20 @@ class Deployment:
             return self.labels[label]
         except KeyError:
             raise KeyError(f"no node labelled {label!r}; labels: {sorted(self.labels)}")
+
+
+def hop_distances(graph: Mapping[int, list[int]], source: int) -> dict[int, int]:
+    """BFS hop counts from ``source`` to every node it can reach in ``graph``."""
+    distances = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        depth = distances[node] + 1
+        for neighbour in graph[node]:
+            if neighbour not in distances:
+                distances[neighbour] = depth
+                frontier.append(neighbour)
+    return distances
 
 
 def line_deployment(hops: int, spacing: float = 1.0) -> Deployment:

@@ -24,7 +24,6 @@ import math
 import operator
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "erlang_b",
@@ -138,6 +137,8 @@ def offered_load_for_target_loss(servers: int, target_loss: float) -> float:
     ``E(rho, k)`` is strictly increasing in rho (for k >= 1), so the
     answer is the unique root of ``E(rho, k) - target_loss``.
     """
+    from scipy.optimize import brentq
+
     servers = _check_servers(servers, minimum=1)
     _check_target(target_loss)
     if erlang_b(0.0, servers) > target_loss:  # pragma: no cover - impossible: E(0,k)=0

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.queueing.erlang import erlang_b
 from repro.queueing.mminf import MMInfinityQueue
 from repro.queueing.mmkk import MMkkQueue
@@ -187,16 +185,29 @@ class QueueTreeModel:
     default_service_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        self._graph = nx.DiGraph()
+        # Node order: each parent item's child then parent, then the
+        # injection-only nodes.  Children keep parent-item order, so the
+        # float sums in arrival_rate and total_buffered_packets do too.
+        endpoints = [node for edge in self.parent.items() for node in edge]
+        self._nodes = list(dict.fromkeys([*endpoints, *self.injection_rates]))
+        self._children: dict[int, list[int]] = {node: [] for node in self._nodes}
         for child, par in self.parent.items():
-            self._graph.add_edge(child, par)
-        for node in self.injection_rates:
-            self._graph.add_node(node)
-        # The parent mapping guarantees out-degree <= 1, so acyclicity is
-        # exactly the tree/forest condition.  (An undirected forest check
-        # would miss two-node cycles like {1: 2, 2: 1}.)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise ValueError("routing structure must be a tree/forest (no cycles)")
+            self._children[par].append(child)
+        # Each node has at most one parent, so the structure is a
+        # tree/forest iff no walk up the parent pointers revisits a node
+        # (a self-loop {1: 1} and a 2-cycle {1: 2, 2: 1} included).
+        rooted: set[int] = set()
+        for start in self.parent:
+            walk: set[int] = set()
+            node = start
+            while node in self.parent and node not in rooted:
+                if node in walk:
+                    raise ValueError(
+                        "routing structure must be a tree/forest (no cycles)"
+                    )
+                walk.add(node)
+                node = self.parent[node]
+            rooted |= walk
         if any(rate < 0 for rate in self.injection_rates.values()):
             raise ValueError("injection rates must be non-negative")
         self._arrival_cache: dict[int, float] = {}
@@ -204,11 +215,11 @@ class QueueTreeModel:
     # ------------------------------------------------------------------
     def nodes(self) -> list[int]:
         """All node ids in the tree."""
-        return list(self._graph.nodes)
+        return list(self._nodes)
 
     def children(self, node: int) -> list[int]:
         """Routing children of ``node`` (nodes that forward to it)."""
-        return sorted(self._graph.predecessors(node))
+        return sorted(self._children[node])
 
     def service_rate(self, node: int) -> float:
         """mu at ``node``."""
@@ -225,7 +236,7 @@ class QueueTreeModel:
         if cached is not None:
             return cached
         rate = float(self.injection_rates.get(node, 0.0))
-        for child in self._graph.predecessors(node):
+        for child in self._children[node]:
             rate += self.carried_rate(child)
         self._arrival_cache[node] = rate
         return rate
@@ -266,11 +277,8 @@ class QueueTreeModel:
     def path_to_root(self, node: int) -> list[int]:
         """Nodes from ``node`` to (and excluding) the sink, in hop order."""
         path = [node]
-        while True:
-            successors = list(self._graph.successors(path[-1]))
-            if not successors:
-                break
-            path.append(successors[0])
+        while path[-1] in self.parent:
+            path.append(self.parent[path[-1]])
         return path[:-1] if len(path) > 1 else path
 
     def mean_path_delay(self, source: int, hop_transmission_delay: float = 1.0) -> float:
@@ -289,4 +297,4 @@ class QueueTreeModel:
 
     def total_buffered_packets(self) -> float:
         """Expected number of packets buffered across the whole network."""
-        return float(sum(self.mean_occupancy(n) for n in self._graph.nodes))
+        return float(sum(self.mean_occupancy(n) for n in self._nodes))

@@ -1,5 +1,7 @@
 """Tests for topology serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,11 @@ from repro.net.serialization import (
     routing_tree_from_json,
     routing_tree_to_json,
 )
-from repro.net.topology import paper_topology, random_geometric_deployment
+from repro.net.topology import (
+    line_deployment,
+    paper_topology,
+    random_geometric_deployment,
+)
 
 
 class TestDeploymentRoundtrip:
@@ -39,6 +45,20 @@ class TestDeploymentRoundtrip:
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError):
             deployment_from_json('{"format": "something/else"}')
+
+    def test_nan_radio_range_rejected(self):
+        payload = json.loads(deployment_to_json(line_deployment(hops=3)))
+        payload["radio_range"] = float("nan")
+        text = json.dumps(payload)
+        assert '"radio_range": NaN' in text
+        with pytest.raises(ValueError, match="radio range must be finite"):
+            deployment_from_json(text)
+
+    def test_infinite_position_rejected(self):
+        payload = json.loads(deployment_to_json(line_deployment(hops=3)))
+        payload["positions"]["2"] = [float("inf"), 0.0]
+        with pytest.raises(ValueError, match="node 2 has a non-finite position"):
+            deployment_from_json(json.dumps(payload))
 
 
 class TestRoutingTreeRoundtrip:

@@ -30,8 +30,7 @@ class TestDeployment:
             radio_range=1.5,
         )
         graph = deployment.connectivity_graph()
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 2)
+        assert graph == {0: [1], 1: [0], 2: []}
         assert not deployment.is_connected()
 
     def test_sink_must_be_deployed(self):
@@ -41,6 +40,22 @@ class TestDeployment:
     def test_radio_range_positive(self):
         with pytest.raises(ValueError):
             Deployment(positions={0: (0.0, 0.0)}, sink=0, radio_range=0.0)
+
+    @pytest.mark.parametrize("radio_range", [math.nan, math.inf])
+    def test_radio_range_must_be_finite(self, radio_range):
+        with pytest.raises(ValueError, match="radio range must be finite"):
+            Deployment(
+                positions={0: (0.0, 0.0), 1: (1.0, 0.0)},
+                sink=0,
+                radio_range=radio_range,
+            )
+
+    @pytest.mark.parametrize(
+        "position", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)]
+    )
+    def test_positions_must_be_finite(self, position):
+        with pytest.raises(ValueError, match="node 1 has a non-finite position"):
+            Deployment(positions={0: (0.0, 0.0), 1: position}, sink=0, radio_range=1.0)
 
     def test_label_resolution(self):
         deployment = line_deployment(hops=3)
@@ -80,9 +95,9 @@ class TestGridDeployment:
     def test_four_neighbour_connectivity(self):
         deployment = grid_deployment(width=3, height=3)
         graph = deployment.connectivity_graph()
-        assert graph.has_edge(0, 1)  # horizontal
-        assert graph.has_edge(0, 3)  # vertical
-        assert not graph.has_edge(0, 4)  # diagonal out of range
+        assert 1 in graph[0]  # horizontal
+        assert 3 in graph[0]  # vertical
+        assert 4 not in graph[0]  # diagonal out of range
 
     def test_connected(self):
         assert grid_deployment(width=5, height=5).is_connected()
